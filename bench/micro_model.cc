@@ -1,9 +1,18 @@
 // Microbenchmarks: the characterization-model primitives. Every proposed
 // query touches one ProviderWindow per candidate (400 Record calls per
 // query at paper scale), so these are the hottest non-allocation paths.
+// The pow rows price the Definition 7-9 kernel (common/pow_kernel.h)
+// against libm, and the SqlbScoreColumns rows the Definition 9 column pass
+// built on it, at the serving (12), mid (81) and Table-2 (400) candidate
+// counts.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/pow_kernel.h"
 #include "common/rng.h"
 #include "core/intention.h"
 #include "core/scoring.h"
@@ -59,6 +68,67 @@ void BM_ProviderScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProviderScore);
+
+// One column of 1024 (x, y) pairs with x log-uniform over [1e-3, 3] and
+// y uniform over [0, 1] — the range the intention and score bases span.
+struct PowInputs {
+  std::vector<double> x;
+  std::vector<double> y;
+  PowInputs() {
+    Rng rng(13);
+    for (int i = 0; i < 1024; ++i) {
+      x.push_back(std::exp(rng.Uniform(std::log(1e-3), std::log(3.0))));
+      y.push_back(rng.NextDouble());
+    }
+  }
+};
+
+void BM_PowKernel(benchmark::State& state) {
+  const PowInputs in;
+  std::vector<double> out(in.x.size());
+  for (auto _ : state) {
+    PowColumn(in.x.data(), in.y.data(), in.x.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.x.size()));
+}
+BENCHMARK(BM_PowKernel);
+
+void BM_StdPow(benchmark::State& state) {
+  const PowInputs in;
+  std::vector<double> out(in.x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < in.x.size(); ++i) {
+      out[i] = std::pow(in.x[i], in.y[i]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.x.size()));
+}
+BENCHMARK(BM_StdPow);
+
+void BM_SqlbScoreColumns(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(15);
+  std::vector<double> pi(n), ci(n), psat(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pi[i] = rng.Uniform(-2.0, 1.0);
+    ci[i] = rng.Uniform(-1.0, 1.0);
+    psat[i] = rng.NextDouble();
+  }
+  std::vector<double> scores;
+  for (auto _ : state) {
+    SqlbScoreColumns(pi.data(), ci.data(), psat.data(), n, 0.6, 1.0, nullptr,
+                     &scores);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SqlbScoreColumns)->Arg(12)->Arg(81)->Arg(400);
 
 void BM_MetricsSummarize(benchmark::State& state) {
   Rng rng(11);

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/pow_kernel.h"
+
 /// \file
 /// Small numeric helpers shared by the intention/score formulas (Section 5 of
 /// the paper), which are products of powers with exponents in [0, 1].
@@ -22,12 +24,14 @@ inline double Clamp(double x, double lo, double hi) {
 inline double ClampIntention(double x) { return Clamp(x, -1.0, 1.0); }
 
 /// x^e for x >= 0, e in [0, 1]; the common factor shape in Defs. 7-9.
-/// Short-circuits the frequent e == 0 and e == 1 cases (exact powers), which
-/// the adaptive-omega score hits whenever one side's satisfaction saturates.
+/// The one-lane form of PowColumn (common/pow_kernel.h): bit-identical to
+/// a column pass over the same (x, e). Exact at e == 0 (1) and e == 1 (x),
+/// which the adaptive-omega score hits whenever one side's satisfaction
+/// saturates.
 inline double BoundedPow(double x, double e) {
-  if (e == 0.0) return 1.0;
-  if (e == 1.0) return x;
-  return std::pow(x, e);
+  double result;
+  pow_internal::Pow(x, e, result);
+  return result;
 }
 
 /// True when |a - b| <= eps.

@@ -6,18 +6,6 @@
 
 namespace sqlb {
 
-void CandidateColumns::Clear() {
-  ids.clear();
-  consumer_intention.clear();
-  provider_intention.clear();
-  provider_satisfaction.clear();
-  utilization.clear();
-  capacity.clear();
-  backlog_seconds.clear();
-  bid_price.clear();
-  estimated_delay.clear();
-}
-
 void CandidateColumns::Reserve(std::size_t n) {
   ids.reserve(n);
   consumer_intention.reserve(n);
@@ -28,6 +16,19 @@ void CandidateColumns::Reserve(std::size_t n) {
   backlog_seconds.reserve(n);
   bid_price.reserve(n);
   estimated_delay.reserve(n);
+}
+
+void CandidateColumns::Resize(std::size_t n,
+                              const CandidateColumnNeeds& needs) {
+  ids.resize(n);
+  consumer_intention.resize(n);
+  provider_intention.resize(n);
+  provider_satisfaction.resize(n);
+  utilization.resize(needs.utilization ? n : 0);
+  capacity.resize(needs.capacity ? n : 0);
+  backlog_seconds.resize(needs.backlog_seconds ? n : 0);
+  bid_price.resize(needs.bid_price ? n : 0);
+  estimated_delay.resize(needs.estimated_delay ? n : 0);
 }
 
 void CandidateColumns::Push(const CandidateProvider& candidate) {

@@ -52,6 +52,8 @@ struct AllocationRequest {
   std::vector<CandidateProvider> candidates;
 };
 
+struct CandidateColumnNeeds;
+
 /// Struct-of-arrays form of a candidate set: one contiguous column per
 /// CandidateProvider field, aligned by candidate index. This is the layout
 /// the mediation hot path fills (from the event-driven characterization
@@ -73,8 +75,11 @@ struct CandidateColumns {
 
   std::size_t size() const { return ids.size(); }
   bool empty() const { return ids.empty(); }
-  void Clear();
   void Reserve(std::size_t n);
+  /// Sizes the always-filled columns and the optional columns `needs`
+  /// selects to `n` (the rest to 0), for a gather that writes by index.
+  /// Values already present are kept, so a same-size call costs nothing.
+  void Resize(std::size_t n, const CandidateColumnNeeds& needs);
   /// Appends one candidate across every column.
   void Push(const CandidateProvider& candidate);
   /// Gathers candidate `i` back into the AoS view.

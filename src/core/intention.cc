@@ -71,21 +71,4 @@ ProviderIntentionEvaluator::ProviderIntentionEvaluator(
   utilization_only_value_ = 1.0 - 2.0 * std::min(utilization_, 1.0);
 }
 
-double ProviderIntentionEvaluator::Eval(double preference) const {
-  const double prf = Clamp(preference, -1.0, 1.0);
-  switch (mode_) {
-    case ProviderIntentionMode::kPreferenceOnly:
-      return prf;
-    case ProviderIntentionMode::kUtilizationOnly:
-      return utilization_only_value_;
-    case ProviderIntentionMode::kSelfBalancing:
-      break;
-  }
-  if (prf > 0.0 && utilization_ < 1.0) {
-    return BoundedPow(prf, one_minus_sat_) * positive_state_factor_;
-  }
-  return -(BoundedPow(1.0 - prf + epsilon_, one_minus_sat_) *
-           negative_state_factor_);
-}
-
 }  // namespace sqlb

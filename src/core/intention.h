@@ -1,6 +1,8 @@
 #ifndef SQLB_CORE_INTENTION_H_
 #define SQLB_CORE_INTENTION_H_
 
+#include "common/math_util.h"
+
 /// \file
 /// The SQLB intention functions (Section 5.1-5.2).
 ///
@@ -76,14 +78,25 @@ double ProviderIntention(double preference, double utilization,
                          double preference_satisfaction,
                          const ProviderIntentionParams& params);
 
+/// One Definition 8 value as a power term: BoundedPow(base, exponent) *
+/// factor, where factor carries the precomputed state factor and the sign
+/// of the branch.
+struct IntentionPowTerm {
+  double base;
+  double exponent;
+  double factor;
+};
+
 /// Definition 8 with the provider-state factors hoisted: utilization and
 /// satisfaction are fixed at construction and only the per-query preference
 /// varies. Both branch factors that depend on state alone — (1 - ut)^sat
 /// and (ut + eps)^sat — are precomputed, so Eval() costs one pow instead of
 /// two. Built once per burst per candidate by the batched intake
 /// (MediationCore::AllocateBatch); Eval(prf) returns bit-for-bit the value
-/// of ProviderIntention(prf, ut, sat, params) — pow is deterministic, and
-/// the factor multiplication order is preserved.
+/// of ProviderIntention(prf, ut, sat, params): every pow goes through the
+/// one BoundedPow kernel (common/pow_kernel.h), which rounds identically in
+/// every build and on every host, and the factor multiplication order is
+/// preserved (negating the factor instead of the product is exact).
 class ProviderIntentionEvaluator {
  public:
   /// An empty evaluator (default params, idle provider) so cache tables can
@@ -93,7 +106,38 @@ class ProviderIntentionEvaluator {
                              double preference_satisfaction,
                              const ProviderIntentionParams& params);
 
-  double Eval(double preference) const;
+  /// True when Eval under `params` is a power term (kSelfBalancing); the
+  /// ablation modes evaluate without a pow.
+  static bool UsesPow(const ProviderIntentionParams& params) {
+    return params.mode == ProviderIntentionMode::kSelfBalancing;
+  }
+
+  /// The power term Eval(preference) evaluates; valid when the evaluator's
+  /// params UsesPow. The mediation gather collects these per candidate and
+  /// raises them in one PowColumn pass.
+  IntentionPowTerm Term(double preference) const {
+    const double prf = Clamp(preference, -1.0, 1.0);
+    // Indexed, not branched: the preference is random per query, so a
+    // branch on the Definition 8 branch would mispredict.
+    const double bases[2] = {1.0 - prf + epsilon_, prf};
+    const double factors[2] = {-negative_state_factor_,
+                               positive_state_factor_};
+    const int positive = (prf > 0.0) & (utilization_ < 1.0);
+    return {bases[positive], one_minus_sat_, factors[positive]};
+  }
+
+  double Eval(double preference) const {
+    switch (mode_) {
+      case ProviderIntentionMode::kPreferenceOnly:
+        return Clamp(preference, -1.0, 1.0);
+      case ProviderIntentionMode::kUtilizationOnly:
+        return utilization_only_value_;
+      case ProviderIntentionMode::kSelfBalancing:
+        break;
+    }
+    const IntentionPowTerm term = Term(preference);
+    return BoundedPow(term.base, term.exponent) * term.factor;
+  }
 
  private:
   ProviderIntentionMode mode_ = ProviderIntentionMode::kSelfBalancing;

@@ -37,8 +37,10 @@ double ProviderScore(double provider_intention, double consumer_intention,
 /// (the omega ablation's pinned-omega mode). The SQLB scoring kernel of the
 /// mediation hot path: all four inputs are contiguous doubles filled from
 /// the characterization cache, so the loop never strides over candidate
-/// structs. Arithmetic is per-element identical to the scalar calls, in
-/// index order — bit-for-bit the scores the AoS loop produces.
+/// structs. Both Definition 9 factors of every candidate go through one
+/// PowColumn pass (common/pow_kernel.h), the vector form of the scalar
+/// BoundedPow; the rest of the arithmetic is per-element identical to
+/// ProviderScore — bit-for-bit the scores the AoS loop produces.
 void SqlbScoreColumns(const double* provider_intention,
                       const double* consumer_intention,
                       const double* provider_satisfaction, std::size_t count,
@@ -51,7 +53,8 @@ void SqlbScoreColumns(const double* provider_intention,
 std::vector<std::size_t> RankByScore(const std::vector<double>& scores);
 
 /// Returns the first min(n, scores.size()) entries of RankByScore: the
-/// providers Algorithm 1 selects. Uses a partial sort; O(N log n).
+/// providers Algorithm 1 selects. Uses a partial sort, O(N log n); n = 1 is
+/// a linear argmax with the same tie-break.
 std::vector<std::size_t> SelectTopN(const std::vector<double>& scores,
                                     std::size_t n);
 

@@ -14,18 +14,26 @@ SqlbMethod::SqlbMethod(SqlbOptions options) : options_(options) {
 }
 
 AllocationDecision SqlbMethod::Allocate(const AllocationRequest& request) {
-  AllocationDecision decision;
-  decision.scores.reserve(request.candidates.size());
-  for (const CandidateProvider& p : request.candidates) {
-    const double omega =
-        options_.fixed_omega.has_value()
-            ? *options_.fixed_omega
-            : OmegaBalance(request.consumer_satisfaction,
-                           p.provider_satisfaction);
-    decision.scores.push_back(ProviderScore(p.provider_intention,
-                                            p.consumer_intention, omega,
-                                            options_.epsilon));
+  // The AoS view scores through the same column kernel: transpose the
+  // three inputs Definition 9 reads.
+  const std::size_t n = request.candidates.size();
+  aos_provider_intention_.resize(n);
+  aos_consumer_intention_.resize(n);
+  aos_provider_satisfaction_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const CandidateProvider& p = request.candidates[i];
+    aos_provider_intention_[i] = p.provider_intention;
+    aos_consumer_intention_[i] = p.consumer_intention;
+    aos_provider_satisfaction_[i] = p.provider_satisfaction;
   }
+  AllocationDecision decision;
+  SqlbScoreColumns(aos_provider_intention_.data(),
+                   aos_consumer_intention_.data(),
+                   aos_provider_satisfaction_.data(), n,
+                   request.consumer_satisfaction, options_.epsilon,
+                   options_.fixed_omega.has_value() ? &*options_.fixed_omega
+                                                    : nullptr,
+                   &decision.scores);
   decision.selected = SelectTopN(decision.scores, SelectionCount(request));
   return decision;
 }

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/allocation.h"
 
@@ -53,6 +54,10 @@ class SqlbMethod final : public AllocationMethod {
 
  private:
   SqlbOptions options_;
+  // Allocate's transposed inputs, reused across calls.
+  std::vector<double> aos_provider_intention_;
+  std::vector<double> aos_consumer_intention_;
+  std::vector<double> aos_provider_satisfaction_;
 };
 
 }  // namespace sqlb

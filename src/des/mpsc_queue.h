@@ -9,6 +9,7 @@
 #include <new>
 #include <utility>
 
+#include "common/cache_line.h"
 #include "common/status.h"
 #include "mem/page_pool.h"
 
@@ -350,12 +351,12 @@ class MpscQueue {
   std::mutex growth_mu_;
 
   /// (index, version)-tagged freelist head.
-  alignas(64) std::atomic<std::uint64_t> free_head_{
+  alignas(kCacheLine) std::atomic<std::uint64_t> free_head_{
       PackHead(kNilIndex, 0)};
   /// Producer end: exchanged by every Push.
-  alignas(64) std::atomic<Node*> tail_{nullptr};
+  alignas(kCacheLine) std::atomic<Node*> tail_{nullptr};
   /// Consumer end: touched only by the consumer thread.
-  alignas(64) Node* head_ = nullptr;
+  alignas(kCacheLine) Node* head_ = nullptr;
 
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> popped_{0};

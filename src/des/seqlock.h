@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache_line.h"
+
 /// \file
 /// Per-slot sequence locks for relaxed-parity parallel execution.
 ///
@@ -117,7 +119,7 @@ class SeqLockTable {
   }
 
  private:
-  struct alignas(64) Slot {
+  struct alignas(kCacheLine) Slot {
     std::atomic<std::uint32_t> seq{0};
   };
 

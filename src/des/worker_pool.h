@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache_line.h"
+
 /// \file
 /// Fixed worker-thread pool behind the epoch-stepped parallel execution mode
 /// (Simulator::RunUntilParallel). One pool is raised per run and reused for
@@ -93,8 +95,10 @@ class WorkerPool {
   std::uint64_t generation_ = 0;
   std::size_t active_workers_ = 0;
   bool shutdown_ = false;
-  std::atomic<std::size_t> next_index_{0};
-  std::vector<std::thread> workers_;
+  /// Claimed by every worker per index: on a line of its own, apart from
+  /// the job fields the workers read.
+  alignas(kCacheLine) std::atomic<std::size_t> next_index_{0};
+  alignas(kCacheLine) std::vector<std::thread> workers_;
   std::size_t pinned_workers_ = 0;
   bool static_schedule_ = false;
   std::vector<unsigned> thread_sockets_;

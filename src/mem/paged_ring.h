@@ -86,17 +86,20 @@ class PagedRing {
   bool full() const { return size_ == capacity_; }
 
   /// Appends `value`; if full, evicts and returns the oldest element —
-  /// exactly RingBuffer::Push.
+  /// exactly RingBuffer::Push. head_ < capacity_ and size_ <= capacity_,
+  /// so both wraps are one compare instead of a division.
   bool Push(T value, T* evicted = nullptr) {
     if (size_ < capacity_) {
-      *MutableSlot((head_ + size_) % capacity_) = value;
+      std::size_t physical = head_ + size_;
+      if (physical >= capacity_) physical -= capacity_;
+      *MutableSlot(physical) = value;
       ++size_;
       return false;
     }
     T* head_slot = MutableSlot(head_);
     if (evicted != nullptr) *evicted = *head_slot;
     *head_slot = value;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     return true;
   }
 
@@ -114,8 +117,8 @@ class PagedRing {
   /// chunk is not resident yet has no address to prefetch.
   void PrefetchPushSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::size_t physical =
-        size_ < capacity_ ? (head_ + size_) % capacity_ : head_;
+    std::size_t physical = size_ < capacity_ ? head_ + size_ : head_;
+    if (physical >= capacity_) physical -= capacity_;
     const ChunkHeader* c = chunks_[physical / kChunkCapacity];
     if (c != nullptr) {
       __builtin_prefetch(&Slots(c)[physical % kChunkCapacity], 1, 1);

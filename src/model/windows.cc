@@ -66,34 +66,6 @@ ProviderWindow::ProviderWindow(const WindowConfig& config, bool lazy)
   last_satisfaction_[1] = config.prior;
 }
 
-void ProviderWindow::Record(double shown_intention, double preference,
-                            bool performed) {
-  const Entry entry{IntentionToUnit(shown_intention),
-                    IntentionToUnit(preference), performed};
-  bool perf_changed = performed;
-  Entry evicted;
-  if (entries_.Push(entry, &evicted)) {
-    intention_sum_ -= evicted.intention_unit;
-    preference_sum_ -= evicted.preference_unit;
-    if (evicted.performed) {
-      perf_intention_sum_ -= evicted.intention_unit;
-      perf_preference_sum_ -= evicted.preference_unit;
-      --performed_in_window_;
-      perf_changed = true;
-    }
-  }
-  if (perf_changed) ++sat_revision_;
-  intention_sum_ += entry.intention_unit;
-  preference_sum_ += entry.preference_unit;
-  if (performed) {
-    perf_intention_sum_ += entry.intention_unit;
-    perf_preference_sum_ += entry.preference_unit;
-    ++performed_in_window_;
-    ++performed_total_;
-  }
-  ++proposed_;
-}
-
 double ProviderWindow::Adequation(Channel channel) const {
   const double sum =
       channel == Channel::kIntention ? intention_sum_ : preference_sum_;

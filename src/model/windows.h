@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/math_util.h"
 #include "common/ring_buffer.h"
 #include "mem/paged_ring.h"
 
@@ -109,8 +110,34 @@ class ProviderWindow {
 
   /// Records one proposed query: the intention the provider showed, its
   /// private preference (both on the [-1, 1] scale; clamped), and whether
-  /// the mediator allocated the query to this provider.
-  void Record(double shown_intention, double preference, bool performed);
+  /// the mediator allocated the query to this provider. Inline: the notify
+  /// sweep calls it once per candidate of every query.
+  void Record(double shown_intention, double preference, bool performed) {
+    const Entry entry{IntentionToUnit(shown_intention),
+                      IntentionToUnit(preference), performed};
+    bool perf_changed = performed;
+    Entry evicted;
+    if (entries_.Push(entry, &evicted)) {
+      intention_sum_ -= evicted.intention_unit;
+      preference_sum_ -= evicted.preference_unit;
+      if (evicted.performed) {
+        perf_intention_sum_ -= evicted.intention_unit;
+        perf_preference_sum_ -= evicted.preference_unit;
+        --performed_in_window_;
+        perf_changed = true;
+      }
+    }
+    if (perf_changed) ++sat_revision_;
+    intention_sum_ += entry.intention_unit;
+    preference_sum_ += entry.preference_unit;
+    if (performed) {
+      perf_intention_sum_ += entry.intention_unit;
+      perf_preference_sum_ += entry.preference_unit;
+      ++performed_in_window_;
+      ++performed_total_;
+    }
+    ++proposed_;
+  }
 
   /// Prefetch hint for a bulk notify sweep: pulls the ring slot the next
   /// Record will touch (see RingBuffer::PrefetchPushSlot).

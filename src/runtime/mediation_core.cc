@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/math_util.h"
+#include "common/pow_kernel.h"
 #include "common/status.h"
 #include "model/characterization.h"
 
@@ -22,6 +23,8 @@ MediationCore::MediationCore(const Shared& shared, AllocationMethod* method,
                  shared_.response_window != nullptr,
              "mediation core shared state is incomplete");
   cache_enabled_ = shared_.config->characterization_cache;
+  pow_intentions_ =
+      ProviderIntentionEvaluator::UsesPow(shared_.config->provider.intention);
   utilization_window_width_ = shared_.config->provider.utilization_window;
   column_needs_ = method_->RequiredColumns();
 
@@ -48,6 +51,8 @@ MediationCore::MediationCore(const Shared& shared, AllocationMethod* method,
   const std::size_t members = active_providers_.size();
   scratch_columns_.Reserve(members);
   scratch_provider_pref_.reserve(members);
+  scratch_pow_exponent_.reserve(members);
+  scratch_pow_factor_.reserve(members);
   scratch_selected_ci_.reserve(std::min<std::size_t>(
       members, shared_.config->query_n));
   scratch_selected_mask_.reserve(members);
@@ -165,20 +170,23 @@ void MediationCore::GatherCandidates(const Query& query,
   // only the per-(query, provider) terms — preferences, consumer intention,
   // the preference pow of Definition 8, the asking price — are computed
   // fresh, straight into the SoA columns the scoring kernels consume.
-  columns->Clear();
-  columns->Reserve(pq.size());
-  prefs->clear();
-  prefs->reserve(pq.size());
-  cache_stats_.lookups += pq.size();
+  const std::size_t count = pq.size();
+  columns->Resize(count, column_needs_);
+  prefs->resize(count);
+  if (pow_intentions_) {
+    scratch_pow_exponent_.resize(count);
+    scratch_pow_factor_.resize(count);
+  }
+  cache_stats_.lookups += count;
   const CandidateColumnNeeds& needs = column_needs_;
   // With upsilon = 1 preference-only consumer intentions (the paper's
   // setup) the registry read is dead weight per candidate; Get is pure, so
   // skipping it cannot change any value.
   const bool read_reputation = consumer.IntentionUsesReputation();
   constexpr std::size_t kPrefetchAhead = 8;
-  for (std::size_t c = 0; c < pq.size(); ++c) {
+  for (std::size_t c = 0; c < count; ++c) {
     const ProviderId pid = pq[c];
-    if (c + kPrefetchAhead < pq.size()) {
+    if (c + kPrefetchAhead < count) {
       // The cache entries are indexed by provider — sequential for the
       // AcceptAll member walk — but each agent's stamp line is scattered.
       providers[pq[c + kPrefetchAhead].index()].PrefetchCharacterizationStamp();
@@ -188,30 +196,47 @@ void MediationCore::GatherCandidates(const Query& query,
         shared_.population->ConsumerPreference(query.consumer, pid);
     const double provider_pref =
         shared_.population->ProviderPreference(pid, query.id);
-    columns->ids.push_back(pid);
-    columns->consumer_intention.push_back(consumer.ComputeIntention(
+    columns->ids[c] = pid;
+    columns->consumer_intention[c] = consumer.ComputeIntention(
         consumer_pref,
-        read_reputation ? shared_.reputation->Get(pid) : 0.0));
-    columns->provider_intention.push_back(mc.evaluator.Eval(provider_pref));
-    columns->provider_satisfaction.push_back(mc.snap.satisfaction_intentions);
+        read_reputation ? shared_.reputation->Get(pid) : 0.0);
+    if (pow_intentions_) {
+      // Definition 8's pow waits for the column pass below.
+      const IntentionPowTerm term = mc.evaluator.Term(provider_pref);
+      columns->provider_intention[c] = term.base;
+      scratch_pow_exponent_[c] = term.exponent;
+      scratch_pow_factor_[c] = term.factor;
+    } else {
+      columns->provider_intention[c] = mc.evaluator.Eval(provider_pref);
+    }
+    columns->provider_satisfaction[c] = mc.snap.satisfaction_intentions;
     if (needs.utilization) {
-      columns->utilization.push_back(mc.snap.utilization);
+      columns->utilization[c] = mc.snap.utilization;
     }
     if (needs.capacity) {
-      columns->capacity.push_back(mc.snap.capacity);
+      columns->capacity[c] = mc.snap.capacity;
     }
     if (needs.backlog_seconds) {
-      columns->backlog_seconds.push_back(mc.snap.backlog_seconds);
+      columns->backlog_seconds[c] = mc.snap.backlog_seconds;
     }
     if (needs.bid_price) {
-      columns->bid_price.push_back(
-          providers[pid.index()].ComputeBidPrice(provider_pref));
+      columns->bid_price[c] =
+          providers[pid.index()].ComputeBidPrice(provider_pref);
     }
     if (needs.estimated_delay) {
-      columns->estimated_delay.push_back(mc.snap.backlog_seconds +
-                                         query.units / mc.snap.capacity);
+      columns->estimated_delay[c] =
+          mc.snap.backlog_seconds + query.units / mc.snap.capacity;
     }
-    prefs->push_back(provider_pref);
+    (*prefs)[c] = provider_pref;
+  }
+  if (pow_intentions_) {
+    // One kernel pass raises every candidate's Definition 8 term:
+    // bit-for-bit the evaluator's scalar Eval.
+    double* intention = columns->provider_intention.data();
+    PowColumn(intention, scratch_pow_exponent_.data(), count, intention);
+    for (std::size_t c = 0; c < count; ++c) {
+      intention[c] *= scratch_pow_factor_[c];
+    }
   }
 
   // Mediation cost proxy: Algorithm 1's per-query work is proportional to

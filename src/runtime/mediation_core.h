@@ -399,6 +399,9 @@ class MediationCore {
   AllocationMethod* method_;
   AcceptAllMatchmaker matchmaker_;
   bool cache_enabled_ = true;
+  /// Definition 8 is a power term (kSelfBalancing): the gather collects
+  /// each candidate's term and raises them all in one PowColumn pass.
+  bool pow_intentions_ = true;
   /// config->provider.utilization_window, hoisted for the decay check of
   /// the Characterize fast path.
   SimTime utilization_window_width_ = 60.0;
@@ -462,6 +465,10 @@ class MediationCore {
   // first allocations do not pay growth reallocations.
   CandidateColumns scratch_columns_;
   std::vector<double> scratch_provider_pref_;
+  // Definition 8 exponent and signed state factor per candidate, for the
+  // gather's column pass (the bases sit in the provider-intention column).
+  std::vector<double> scratch_pow_exponent_;
+  std::vector<double> scratch_pow_factor_;
   std::vector<double> scratch_selected_ci_;
   std::vector<char> scratch_selected_mask_;
 

@@ -93,15 +93,6 @@ double ProviderAgent::CommittedUtilization(SimTime now) {
              (profile_.capacity * config_->utilization_window);
 }
 
-void ProviderAgent::OnProposed(double shown_intention, double preference,
-                               bool performed) {
-  const std::uint64_t before = window_.satisfaction_revision();
-  window_.Record(shown_intention, preference, performed);
-  if (window_.satisfaction_revision() != before) {
-    ++store_->char_revision(slot_);
-  }
-}
-
 void ProviderAgent::Enqueue(des::Simulator& sim, const Query& query,
                             CompletionFn on_completion) {
   SQLB_CHECK(query.units > 0.0, "query treatment cost must be positive");

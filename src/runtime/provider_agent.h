@@ -178,7 +178,13 @@ class ProviderAgent {
   /// in P_q is proposed; `performed` marks the ones allocated here —
   /// Section 5.4: non-selected providers are informed of the mediation
   /// result).
-  void OnProposed(double shown_intention, double preference, bool performed);
+  void OnProposed(double shown_intention, double preference, bool performed) {
+    const std::uint64_t before = window_.satisfaction_revision();
+    window_.Record(shown_intention, preference, performed);
+    if (window_.satisfaction_revision() != before) {
+      ++store_->char_revision(slot_);
+    }
+  }
 
   /// Prefetch hint ahead of OnProposed during the post-decision notify
   /// sweep over a large P_q (each provider's window ring is its own heap

@@ -307,14 +307,23 @@ std::size_t ServingMediator::SubmitMany(ServingProducer* producer,
 }
 
 void ServingMediator::Drain() {
-  for (;;) {
-    std::uint64_t submitted = 0;
-    for (const auto& producer : producers_) {
-      submitted += producer->submitted();
-    }
-    if (served_.load(std::memory_order_acquire) >= submitted) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  std::uint64_t submitted = 0;
+  for (const auto& producer : producers_) {
+    submitted += producer->submitted();
   }
+  // Register before the first check: with both sides seq_cst, either a
+  // group's served_ increment precedes our load (we see it) or our
+  // registration precedes its waiter load (it notifies). The group
+  // notifies under drain_mu_, so it cannot slip between our check and
+  // our wait.
+  drain_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  {
+    std::unique_lock<std::mutex> lk(drain_mu_);
+    drain_cv_.wait(lk, [this, submitted] {
+      return served_.load(std::memory_order_seq_cst) >= submitted;
+    });
+  }
+  drain_waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 SimTime ServingMediator::SimNowFromWall(Clock::time_point t) const {
@@ -536,7 +545,11 @@ void ServingMediator::FlushShard(GroupState& group, std::uint32_t shard,
   flush_counters_[shard]->Inc();
   batched_query_counters_[shard]->Inc(state.buffer.size());
   ++group.bursts_flushed;
-  served_.fetch_add(state.buffer.size(), std::memory_order_release);
+  served_.fetch_add(state.buffer.size(), std::memory_order_seq_cst);
+  if (drain_waiters_.load(std::memory_order_seq_cst) != 0) {
+    std::lock_guard<std::mutex> lk(drain_mu_);
+    drain_cv_.notify_all();
+  }
 
   state.buffer.clear();
   state.meta.clear();

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "core/allocation.h"
 #include "des/mpsc_queue.h"
 #include "mem/page_pool.h"
@@ -208,13 +209,15 @@ class ServingProducer {
  private:
   friend class ServingMediator;
   std::uint32_t index_ = 0;
-  std::atomic<std::uint64_t> submitted_{0};
+  /// submitted_ and shed_ are written by the producer thread, mediated_ by
+  /// the mediator groups: each side gets a line of its own.
+  alignas(kCacheLine) std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> mediated_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> mediated_{0};
   /// One histogram per mediator group (sized at registration): group g's
   /// thread is the only writer of group_wall_[g]. Stop() folds them into
   /// intake_wall_ in group order.
-  std::vector<obs::Histogram> group_wall_;
+  alignas(kCacheLine) std::vector<obs::Histogram> group_wall_;
   obs::Histogram intake_wall_;
 };
 
@@ -310,8 +313,9 @@ class ServingMediator {
     std::unique_ptr<des::MpscQueue<Intake>> queue;
     /// Accepted-but-undrained submissions; reserves against
     /// max_queued_per_shard exactly, even under concurrent producers.
-    std::atomic<std::int64_t> queued{0};
-    BatchWindowController controller;
+    /// Producers and the group thread both write it: a line of its own.
+    alignas(kCacheLine) std::atomic<std::int64_t> queued{0};
+    alignas(kCacheLine) BatchWindowController controller;
     std::vector<Query> buffer;
     /// Parallel to buffer: (enqueue wall time, producer index) per query.
     std::vector<std::pair<Clock::time_point, std::uint32_t>> meta;
@@ -351,8 +355,10 @@ class ServingMediator {
     /// paired with the queue publish, see MediatorLoop/WakeIfParked).
     std::mutex park_mu;
     std::condition_variable park_cv;
-    std::atomic<std::uint32_t> parked{0};
-    std::thread thread;
+    /// Read by every producer's submit, written by the group thread: a line
+    /// of its own, apart from the group's mediation state.
+    alignas(kCacheLine) std::atomic<std::uint32_t> parked{0};
+    alignas(kCacheLine) std::thread thread;
   };
 
   void MediatorLoop(GroupState& group);
@@ -396,14 +402,24 @@ class ServingMediator {
   /// The merged trace (built at Stop from the group segments).
   ServingTrace trace_;
 
-  std::atomic<bool> stop_{false};
+  // Each cross-thread flag and counter below has a cache line of its own:
+  // every producer writes in_submit_, every group writes served_, and
+  // both sides read the rest on every pass. Sharing one line made the
+  // mediator groups stall on the producers' writes.
+  alignas(kCacheLine) std::atomic<bool> stop_{false};
   /// Intake gate for Stop(): set false first, then in_submit_ is spun to
   /// zero, so no producer can be mid-push when the groups shut down.
-  std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> in_submit_{0};
+  alignas(kCacheLine) std::atomic<bool> accepting_{true};
+  alignas(kCacheLine) std::atomic<std::uint64_t> in_submit_{0};
   /// Queries mediated so far (Drain's progress signal).
-  std::atomic<std::uint64_t> served_{0};
-  Clock::time_point t0_;
+  alignas(kCacheLine) std::atomic<std::uint64_t> served_{0};
+  alignas(kCacheLine) Clock::time_point t0_;
+  /// Drain() callers currently waiting. A group notifies drain_cv_ after a
+  /// burst only while this is non-zero, so without a waiter the burst pays
+  /// one load.
+  std::atomic<std::uint32_t> drain_waiters_{0};
+  std::mutex drain_mu_;
+  std::condition_variable drain_cv_;
   bool started_ = false;
   bool stopped_ = false;
 

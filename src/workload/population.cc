@@ -133,27 +133,6 @@ const ProviderProfile& Population::provider(ProviderId id) const {
   return providers_[id.index()];
 }
 
-double Population::ConsumerPreference(ConsumerId c, ProviderId p) const {
-  SQLB_CHECK(c.index() < config_.num_consumers, "unknown consumer id");
-  SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
-  if (config_.lazy_consumer_preferences) {
-    const PrefRange range = config_.interest_ranges[static_cast<std::size_t>(
-        providers_[p.index()].interest_class)];
-    return consumer_pref_rng_.Uniform(range.lo, range.hi, c.index(),
-                                      p.index());
-  }
-  return consumer_pref_[static_cast<std::size_t>(c.index()) *
-                            config_.num_providers +
-                        p.index()];
-}
-
-double Population::ProviderPreference(ProviderId p, QueryId q) const {
-  SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
-  const PrefRange range = config_.adaptation_ranges[static_cast<std::size_t>(
-      providers_[p.index()].adaptation_class)];
-  return provider_pref_rng_.Uniform(range.lo, range.hi, p.index(), q);
-}
-
 double Population::QueryUnits(std::uint32_t class_index) const {
   SQLB_CHECK(class_index < config_.query_class_units.size(),
              "unknown query class");

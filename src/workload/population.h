@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 
 /// \file
@@ -108,13 +109,33 @@ class Population {
 
   /// The persistent preference of consumer `c` for provider `p`
   /// (prf_c(q, p) of Definition 7 with the setup's query-independent
-  /// preferences), in the provider's interest-class range.
-  double ConsumerPreference(ConsumerId c, ProviderId p) const;
+  /// preferences), in the provider's interest-class range. Inline, like
+  /// ProviderPreference: the gather reads both once per candidate.
+  double ConsumerPreference(ConsumerId c, ProviderId p) const {
+    SQLB_CHECK(c.index() < config_.num_consumers, "unknown consumer id");
+    SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
+    if (config_.lazy_consumer_preferences) {
+      const PrefRange range =
+          config_.interest_ranges[static_cast<std::size_t>(
+              providers_[p.index()].interest_class)];
+      return consumer_pref_rng_.Uniform(range.lo, range.hi, c.index(),
+                                        p.index());
+    }
+    return consumer_pref_[static_cast<std::size_t>(c.index()) *
+                              config_.num_providers +
+                          p.index()];
+  }
 
   /// The preference of provider `p` for query `q` (prf_p(q) of
   /// Definition 8), drawn from the provider's adaptation-class range;
   /// stable across calls and call order.
-  double ProviderPreference(ProviderId p, QueryId q) const;
+  double ProviderPreference(ProviderId p, QueryId q) const {
+    SQLB_CHECK(p.index() < providers_.size(), "unknown provider id");
+    const PrefRange range =
+        config_.adaptation_ranges[static_cast<std::size_t>(
+            providers_[p.index()].adaptation_class)];
+    return provider_pref_rng_.Uniform(range.lo, range.hi, p.index(), q);
+  }
 
   /// Treatment units of query class `class_index`.
   double QueryUnits(std::uint32_t class_index) const;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/pow_kernel.h"
 #include "common/rng.h"
 
 namespace sqlb {
@@ -147,6 +151,59 @@ TEST(ProviderIntentionTest, AblationModes) {
   EXPECT_DOUBLE_EQ(ProviderIntention(0.9, 0.0, 0.1, ut_only), 1.0);
   EXPECT_DOUBLE_EQ(ProviderIntention(0.9, 0.5, 0.1, ut_only), 0.0);
   EXPECT_DOUBLE_EQ(ProviderIntention(0.9, 2.0, 0.1, ut_only), -1.0);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ProviderIntentionEvaluatorTest, ColumnPassMatchesEvalBitForBit) {
+  // The mediation gather's form of Definition 8: collect each candidate's
+  // power term, raise them all in one PowColumn pass, apply the signed
+  // factors. It must reproduce Eval — and ProviderIntention — exactly.
+  Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(130);
+    std::vector<ProviderIntentionEvaluator> evaluators;
+    std::vector<double> ut(n), sat(n), prf(n), base(n), exponent(n),
+        factor(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ut[i] = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.0, 2.5);
+      sat[i] = rng.Bernoulli(0.1) ? static_cast<double>(rng.NextBounded(2))
+                                  : rng.NextDouble();
+      prf[i] = rng.Uniform(-1.0, 1.0);
+      evaluators.emplace_back(ut[i], sat[i], SelfBalancing());
+      const IntentionPowTerm term = evaluators[i].Term(prf[i]);
+      base[i] = term.base;
+      exponent[i] = term.exponent;
+      factor[i] = term.factor;
+    }
+    std::vector<double> column(n);
+    PowColumn(base.data(), exponent.data(), n, column.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value = column[i] * factor[i];
+      ASSERT_EQ(Bits(value), Bits(evaluators[i].Eval(prf[i])))
+          << "prf=" << prf[i] << " ut=" << ut[i] << " sat=" << sat[i];
+      ASSERT_EQ(Bits(value),
+                Bits(ProviderIntention(prf[i], ut[i], sat[i],
+                                       SelfBalancing())));
+    }
+  }
+}
+
+TEST(ProviderIntentionEvaluatorTest, AblationModesUseNoPow) {
+  ProviderIntentionParams pref_only;
+  pref_only.mode = ProviderIntentionMode::kPreferenceOnly;
+  ProviderIntentionParams ut_only;
+  ut_only.mode = ProviderIntentionMode::kUtilizationOnly;
+  EXPECT_TRUE(ProviderIntentionEvaluator::UsesPow(SelfBalancing()));
+  EXPECT_FALSE(ProviderIntentionEvaluator::UsesPow(pref_only));
+  EXPECT_FALSE(ProviderIntentionEvaluator::UsesPow(ut_only));
+  EXPECT_EQ(ProviderIntentionEvaluator(0.5, 0.5, pref_only).Eval(-1.7),
+            -1.0);
+  EXPECT_EQ(ProviderIntentionEvaluator(0.5, 0.5, ut_only).Eval(0.9), 0.0);
 }
 
 // Property sweep over the (preference, utilization, satisfaction) cube.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -94,6 +97,48 @@ TEST(ProviderScoreDeathTest, RequiresPositiveEpsilon) {
   EXPECT_DEATH(ProviderScore(0.5, 0.5, 0.5, 0.0), "epsilon");
 }
 
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(SqlbScoreColumnsTest, MatchesProviderScoreBitForBit) {
+  Rng rng(19);
+  const double pinned[] = {0.0, 0.3, 1.0};
+  // Lengths around the kernel's vector width and the column block size.
+  for (std::size_t n : {0, 1, 3, 4, 5, 63, 64, 65, 129, 400}) {
+    std::vector<double> pi(n), ci(n), psat(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pi[i] = rng.Uniform(-2.5, 1.0);
+      ci[i] = rng.Uniform(-1.0, 1.0);
+      psat[i] = rng.Bernoulli(0.1) ? 1.0 : rng.NextDouble();
+    }
+    const double csat = rng.NextDouble();
+    for (double epsilon : {1.0, 0.25}) {
+      std::vector<double> scores;
+      SqlbScoreColumns(pi.data(), ci.data(), psat.data(), n, csat, epsilon,
+                       nullptr, &scores);
+      ASSERT_EQ(scores.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double omega = OmegaBalance(csat, psat[i]);
+        ASSERT_EQ(Bits(scores[i]),
+                  Bits(ProviderScore(pi[i], ci[i], omega, epsilon)))
+            << "n=" << n << " i=" << i;
+      }
+      for (double omega : pinned) {
+        SqlbScoreColumns(pi.data(), ci.data(), psat.data(), n, csat, epsilon,
+                         &omega, &scores);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(scores[i]),
+                    Bits(ProviderScore(pi[i], ci[i], omega, epsilon)))
+              << "n=" << n << " i=" << i << " omega=" << omega;
+        }
+      }
+    }
+  }
+}
+
 TEST(RankByScoreTest, DescendingWithStableTies) {
   const std::vector<double> scores{0.3, 0.9, 0.3, 1.0};
   const auto order = RankByScore(scores);
@@ -104,6 +149,13 @@ TEST(SelectTopNTest, PrefixOfRanking) {
   const std::vector<double> scores{0.3, 0.9, 0.3, 1.0};
   EXPECT_EQ(SelectTopN(scores, 2), (std::vector<std::size_t>{3, 1}));
   EXPECT_EQ(SelectTopN(scores, 0), (std::vector<std::size_t>{}));
+}
+
+TEST(SelectTopNTest, SingleSelectionTakesTheLowestIndexOfTiedBest) {
+  const std::vector<double> scores{0.3, 1.0, -2.0, 1.0, 0.9};
+  EXPECT_EQ(SelectTopN(scores, 1), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(SelectTopN({-0.5}, 1), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(SelectTopN({}, 1), (std::vector<std::size_t>{}));
 }
 
 TEST(SelectTopNTest, NLargerThanSetTakesAll) {
