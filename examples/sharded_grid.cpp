@@ -5,11 +5,12 @@
 // consistent-hash partition of 200 providers, least-loaded routing fed by
 // periodic load-report gossip over the simulated network, and re-routing
 // when a shard's candidate set is empty or saturated. A coda reruns the
-// same fleet wall-clock-parallel under relaxed parity (per-consumer
-// sequence locks let least-loaded routing run on worker threads).
+// fleet wall-clock-parallel under consumer-affine routing and checks that
+// the parallel run is bit-identical to its serial twin.
 //
 //   $ ./build/sharded_grid
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -95,29 +96,36 @@ int main() {
   std::printf("\nconsumer allocation satisfaction (final): %.3f\n",
               allocsat->samples.back().second);
 
-  // 6. The same fleet, wall-clock-parallel: strict parity would reject
-  //    least-loaded routing (one consumer's queries may mediate on several
-  //    shards inside an epoch), so opt into relaxed parity — per-consumer
-  //    sequence locks, counters conserved exactly, bounded drift in the
-  //    time/satisfaction aggregates.
-  shard::ShardedSystemConfig relaxed = config;
-  relaxed.rerouting_enabled = false;  // a mid-epoch bounce would couple lanes
-  relaxed.worker_threads = std::max(2u, std::thread::hardware_concurrency());
-  relaxed.parity = shard::ParityMode::kRelaxed;
-  Config relaxed_config;
-  relaxed_config.mode = Mode::kSharded;
-  relaxed_config.sharded = relaxed;
-  const shard::ShardedRunResult parallel =
-      Service::Create(relaxed_config, [](std::uint32_t) {
-        return std::make_unique<SqlbMethod>();
-      })->Run();
+  // 6. The same fleet, wall-clock-parallel. A parallel run is bit-identical
+  //    to its serial twin, which needs state-disjoint lanes: consumer-affine
+  //    (kLocality) routing and no mid-epoch re-routing. Load-aware policies
+  //    such as least-loaded run serially, as above.
+  shard::ShardedSystemConfig affine = config;
+  affine.router.policy = shard::RoutingPolicy::kLocality;
+  affine.rerouting_enabled = false;
+  auto run_affine = [&](std::size_t worker_threads) {
+    Config affine_config;
+    affine_config.mode = Mode::kSharded;
+    affine_config.sharded = affine;
+    affine_config.sharded.worker_threads = worker_threads;
+    return Service::Create(affine_config, [](std::uint32_t) {
+             return std::make_unique<SqlbMethod>();
+           })->Run();
+  };
+  const std::size_t threads =
+      std::max(2u, std::thread::hardware_concurrency());
+  const shard::ShardedRunResult serial = run_affine(0);
+  const shard::ShardedRunResult parallel = run_affine(threads);
+  const bool identical =
+      parallel.run.queries_issued == serial.run.queries_issued &&
+      parallel.run.queries_completed == serial.run.queries_completed &&
+      parallel.run.response_time.mean() == serial.run.response_time.mean();
   std::printf(
-      "\n%s-parity rerun on %zu worker threads: issued %llu, "
-      "completed %llu, mean rt %.2f s, lock contention %llu\n",
-      ParityModeName(relaxed.parity), relaxed.worker_threads,
+      "\n%s rerun on %zu worker threads: issued %llu, completed %llu, "
+      "mean rt %.2f s, bit-identical to serial: %s\n",
+      RoutingPolicyName(affine.router.policy), threads,
       static_cast<unsigned long long>(parallel.run.queries_issued),
       static_cast<unsigned long long>(parallel.run.queries_completed),
-      parallel.run.response_time.mean(),
-      static_cast<unsigned long long>(parallel.consumer_lock_contention));
-  return 0;
+      parallel.run.response_time.mean(), identical ? "yes" : "NO");
+  return identical ? 0 : 1;
 }

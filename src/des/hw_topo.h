@@ -5,13 +5,12 @@
 #include <vector>
 
 /// \file
-/// Host CPU topology for placement-aware worker pinning. The legacy
-/// pin_threads mode round-robins workers over logical CPUs 1..hw-1 blindly
-/// — on a multi-socket or SMT host that interleaves lane workers across
-/// sockets and doubles them onto hyperthread siblings before physical
-/// cores are exhausted. This module reads the kernel's topology export
-/// (/sys/devices/system/cpu/cpu*/topology) and orders logical CPUs so
-/// that:
+/// Host CPU topology for placement-aware worker pinning. Round-robin over
+/// logical CPUs 1..hw-1 is blind to the machine — on a multi-socket or SMT
+/// host it interleaves lane workers across sockets and doubles them onto
+/// hyperthread siblings before physical cores are exhausted. This module
+/// reads the kernel's topology export (/sys/devices/system/cpu/cpu*/topology)
+/// and orders logical CPUs so that:
 ///
 ///  1. every physical core is used once before any SMT sibling (smt_rank
 ///     ascending), and
@@ -22,8 +21,7 @@
 ///
 /// Detection degrades gracefully: when /sys is absent (non-Linux,
 /// containers with masked sysfs) every CPU reports socket 0 / distinct
-/// cores, and the placement order collapses to the legacy round-robin
-/// sequence.
+/// cores, and the placement order collapses to the round-robin sequence.
 
 namespace sqlb::des {
 

@@ -194,8 +194,8 @@ class ScenarioEngine {
   void ConfigureObservability(std::size_t shard_lanes);
 
   /// The shared-state block a MediationCore needs, pointing into this
-  /// engine. Drivers set the per-core fields (`effects`, `consumer_locks`)
-  /// on top before constructing each core.
+  /// engine. Drivers set the per-core fields (`effects`, `trace`,
+  /// `metrics`, `arena`) on top before constructing each core.
   MediationCore::Shared CoreSharedState();
 
   /// RunResult::method_name (the engine cannot know it: methods are built

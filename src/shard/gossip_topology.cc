@@ -10,8 +10,6 @@ const char* GossipTopologyName(GossipTopologyKind kind) {
       return "direct";
     case GossipTopologyKind::kHierarchical:
       return "hierarchical";
-    case GossipTopologyKind::kAllToAll:
-      return "all-to-all";
   }
   return "?";
 }

@@ -1,45 +1,22 @@
 #include "shard/parity.h"
 
-#include "common/status.h"
-
 namespace sqlb::shard {
 
-const char* ParityModeName(ParityMode mode) {
-  switch (mode) {
-    case ParityMode::kStrict:
-      return "strict";
-    case ParityMode::kRelaxed:
-      return "relaxed";
+Status ValidateParallelRun(const ParallelRunShape& shape) {
+  if (shape.reputation_feedback) {
+    return Status::InvalidArgument(
+        "parallel shard execution requires reputation_feedback off");
   }
-  return "?";
-}
-
-void ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape) {
-  // Couplings no parity mode can merge away.
-  SQLB_CHECK(!shape.reputation_feedback,
-             "parallel shard execution requires reputation_feedback off");
-  SQLB_CHECK(shape.num_shards == 1 || !shape.rerouting_enabled,
-             "parallel shard execution requires rerouting disabled");
-
-  switch (mode) {
-    case ParityMode::kStrict:
-      // Bit-identity needs state-disjoint lanes: one lane per consumer.
-      SQLB_CHECK(shape.num_shards == 1 ||
-                     shape.routing == RoutingPolicy::kLocality,
-                 "strict-parity parallel execution requires consumer-affine "
-                 "(kLocality) routing; use ParityMode::kRelaxed for "
-                 "load-aware policies");
-      break;
-    case ParityMode::kRelaxed:
-      // Any routing policy: cross-shard consumer access is serialized
-      // through the per-consumer sequence locks.
-      break;
+  if (shape.num_shards > 1 && shape.rerouting_enabled) {
+    return Status::InvalidArgument(
+        "parallel shard execution requires rerouting disabled");
   }
-}
-
-bool ParallelRunNeedsConsumerLocks(ParityMode mode,
-                                   const ParallelRunShape& shape) {
-  return mode == ParityMode::kRelaxed && shape.num_shards > 1;
+  if (shape.num_shards > 1 && shape.routing != RoutingPolicy::kLocality) {
+    return Status::InvalidArgument(
+        "parallel shard execution requires consumer-affine (kLocality) "
+        "routing; run load-aware policies serially (worker_threads = 0)");
+  }
+  return Status::OK();
 }
 
 }  // namespace sqlb::shard

@@ -3,52 +3,31 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "shard/shard_router.h"
 
 /// \file
-/// The parity policy of the parallel mediation tier: what a wall-clock-
-/// parallel run is allowed to diverge from its serial twin, and which
-/// configurations each mode therefore admits.
+/// The parity contract of the parallel mediation tier: a wall-clock-
+/// parallel run is bit-identical to the serial run for a fixed seed at any
+/// thread count. That is only possible when lanes are state-disjoint
+/// between barriers, so a parallel run admits only:
 ///
-/// Strict mode is PR 2's contract — a parallel run is bit-identical to the
-/// serial run for a fixed seed at any thread count — which is only possible
-/// when lanes are state-disjoint between barriers: consumer-affine
-/// (kLocality) routing, no re-routing, no reputation feedback. Relaxed mode
-/// trades bit-identity for policy freedom: load-aware routing (least-loaded,
-/// hash) may spread one consumer across shards, with every lane-side
-/// consumer access serialized through per-consumer sequence locks
-/// (des/seqlock.h). The divergence is bounded, not open-ended:
-///
-///   - queries issued are identical to serial (arrivals are drawn on the
-///     coordinator from the same RNG stream);
-///   - every counter is conserved exactly — completions + infeasibles
-///     still merge deterministically from the per-lane effect logs in
-///     (time, lane, seq) order, none are lost or double-counted;
-///   - only the *interleaving* of same-epoch, same-consumer mediations may
-///     differ from serial, so per-consumer window state — and through it
-///     response times and satisfaction — may drift within the epoch
-///     length; tests/shard/parallel_execution_test.cc pins the resulting
-///     aggregate tolerance.
-///
-/// Both modes still require reputation feedback off under parallel
-/// execution (completion-time reputation writes are read by every shard's
-/// intention computation — a global coupling neither mode's merge covers)
-/// and re-routing off for M > 1 (a mid-epoch bounce would hand a query to
-/// a lane that already drained past its time).
+///   - consumer-affine (kLocality) routing for M > 1 — one lane owns each
+///     consumer's window state (load-aware policies run serially);
+///   - re-routing off for M > 1 — a mid-epoch bounce would hand a query to
+///     a lane that already drained past its time;
+///   - reputation feedback off — completion-time reputation writes are
+///     read by every shard's intention computation, a global coupling the
+///     barrier merge does not cover.
 
 namespace sqlb::shard {
 
 enum class ParityMode : std::uint8_t {
-  /// Parallel == serial, bit for bit. Requires consumer-affine routing.
+  /// Parallel == serial, bit for bit. The only parallel contract.
   kStrict = 0,
-  /// Any routing policy; per-consumer sequence locks; bounded divergence.
-  kRelaxed = 1,
 };
 
-/// "strict", "relaxed".
-const char* ParityModeName(ParityMode mode);
-
-/// What the parity policy needs to know about a run to admit it.
+/// What the parity contract needs to know about a run to admit it.
 struct ParallelRunShape {
   std::size_t num_shards = 1;
   RoutingPolicy routing = RoutingPolicy::kHash;
@@ -56,19 +35,10 @@ struct ParallelRunShape {
   bool reputation_feedback = false;
 };
 
-/// Validates `shape` against `mode`'s contract; aborts (SQLB_CHECK) on a
-/// configuration the mode cannot execute correctly. Serial runs never call
-/// this — every configuration is serially executable.
-void ValidateParallelRun(ParityMode mode, const ParallelRunShape& shape);
-
-/// True when a parallel run of this shape must route lane-side consumer
-/// access through a SeqLockTable: relaxed mode with more than one shard.
-/// (At M = 1 or under strict/affine routing one lane owns each consumer,
-/// and the locks would be pure overhead. Relaxed mode locks even under
-/// kLocality routing — the locks are semantically inert there, which is
-/// exactly what the relaxed-affine bit-identity pin exercises.)
-bool ParallelRunNeedsConsumerLocks(ParityMode mode,
-                                   const ParallelRunShape& shape);
+/// OK when a parallel run of `shape` can keep bit-identity with its serial
+/// twin; kInvalidArgument naming the offending knob otherwise. Serial runs
+/// never need this — every configuration is serially executable.
+Status ValidateParallelRun(const ParallelRunShape& shape);
 
 }  // namespace sqlb::shard
 

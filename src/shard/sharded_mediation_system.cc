@@ -54,11 +54,8 @@ class ShardedMediationSystem::GossipSink final : public msg::Node {
     (void)network;
     if (message.kind == kLoadReportKind) {
       // A report addressed to a shard (not the router-side sink) is an
-      // aggregation-tree hop: the shard forwards it one hop up (or, under
-      // all-to-all, is simply a broadcast recipient and folds it too).
-      if (message.to != system_->sink_address_ &&
-          system_->config_.gossip_topology ==
-              GossipTopologyKind::kHierarchical) {
+      // aggregation-tree hop: the shard forwards it one hop up.
+      if (message.to != system_->sink_address_) {
         system_->RelayLoadReport(system_->ShardOfAddress(message.to),
                                  message);
         return;
@@ -195,10 +192,6 @@ ShardedMediationSystem::ShardedMediationSystem(
       lane_sims_.push_back(std::make_unique<des::Simulator>());
     }
     effect_logs_.resize(num_shards);
-    if (ParallelRunNeedsConsumerLocks(config_.parity, RunShape())) {
-      consumer_locks_ =
-          std::make_unique<des::SeqLockTable>(engine_.consumers().size());
-    }
   }
   batch_buffers_.resize(num_shards);
   flush_due_.assign(num_shards, -kSimTimeInfinity);
@@ -220,10 +213,8 @@ ShardedMediationSystem::ShardedMediationSystem(
     SQLB_CHECK(methods_.back() != nullptr, "method factory returned null");
     // In parallel mode each core sinks its cross-shard effects into its
     // own log, merged at epoch barriers; in serial mode it writes the
-    // shared sinks directly (bit-identical to PR 1). Relaxed parity adds
-    // the per-consumer sequence locks on every lane-side consumer access.
+    // shared sinks directly (the classic single-threaded path).
     shared.effects = parallel_ ? &effect_logs_[s] : nullptr;
-    shared.consumer_locks = consumer_locks_.get();
     // Each core records spans and histograms into its own shard lane, in
     // serial and parallel mode alike — the lane's record sequence is the
     // trace-determinism contract.
@@ -262,12 +253,12 @@ ShardedMediationSystem::ShardedMediationSystem(
 
 ShardedMediationSystem::~ShardedMediationSystem() = default;
 
-ParallelRunShape ShardedMediationSystem::RunShape() const {
+ParallelRunShape ParallelShapeOf(const ShardedSystemConfig& config) {
   ParallelRunShape shape;
-  shape.num_shards = config_.router.num_shards;
-  shape.routing = config_.router.policy;
-  shape.rerouting_enabled = config_.rerouting_enabled;
-  shape.reputation_feedback = config_.base.reputation_feedback;
+  shape.num_shards = config.router.num_shards;
+  shape.routing = config.router.policy;
+  shape.rerouting_enabled = config.rerouting_enabled;
+  shape.reputation_feedback = config.base.reputation_feedback;
   return shape;
 }
 
@@ -275,11 +266,12 @@ ShardedRunResult ShardedMediationSystem::Run() {
   SQLB_CHECK(!ran_, "ShardedMediationSystem::Run may only be called once");
   ran_ = true;
 
-  // The parity policy decides which configurations a parallel run admits —
-  // strict demands state-disjoint lanes, relaxed swaps that for the
-  // per-consumer sequence locks (shard/parity.h).
+  // Bit-identity with serial demands state-disjoint lanes (shard/parity.h).
+  // Config::Validate returns the same status up front; a driver built
+  // directly aborts here instead.
   if (parallel_) {
-    ValidateParallelRun(config_.parity, RunShape());
+    const Status admissible = ValidateParallelRun(ParallelShapeOf(config_));
+    SQLB_CHECK(admissible.ok(), admissible.message().c_str());
   }
 
   result_.run = engine_.Run(*this);
@@ -361,10 +353,6 @@ ShardedRunResult ShardedMediationSystem::Run() {
   result_.net_injected_delays =
       metrics.CounterValue(obs::kMetricNetInjectedDelays);
 
-  if (consumer_locks_ != nullptr) {
-    result_.consumer_lock_contention = consumer_locks_->contended_acquires();
-  }
-
   // End-of-run agent-state residency: columns are layout-independent, the
   // per-agent term is where eager heap containers and lazy pooled chunks
   // diverge (the number the memory scale gate divides by the population).
@@ -385,7 +373,6 @@ void ShardedMediationSystem::Execute(des::Simulator& sim, SimTime duration) {
     return;
   }
   des::WorkerPoolOptions pool_options;
-  pool_options.pin_threads = config_.pin_worker_threads;
   pool_options.topology_aware = config_.topology_aware_workers;
   pool_options.static_schedule = config_.topology_aware_workers;
   des::WorkerPool pool(config_.worker_threads, pool_options);
@@ -767,56 +754,29 @@ void ShardedMediationSystem::SendLoadReports(des::Simulator& sim) {
                                   report.utilization);
     }
 
-    switch (config_.gossip_topology) {
-      case GossipTopologyKind::kDirect: {
-        msg::Message message;
-        message.from = shard_addresses_[s];
-        message.to = sink_address_;
-        message.kind = kLoadReportKind;
-        message.correlation = s;
-        message.payload = report;
-        gossip_load_messages_counter_->Inc();
-        network_.Send(std::move(message));
-        break;
-      }
-      case GossipTopologyKind::kHierarchical: {
-        // One hop up the round's aggregation tree; the root reports to the
-        // router directly. Interior hops happen at delivery time
-        // (RelayLoadReport), so every hop costs one network latency of
-        // added staleness — surfaced by gossip.staleness_seconds.
-        const auto rank_it = std::find(live.begin(), live.end(), s);
-        const std::size_t rank =
-            static_cast<std::size_t>(rank_it - live.begin());
-        msg::Message message;
-        message.from = shard_addresses_[s];
-        message.to = rank == 0
-                         ? sink_address_
-                         : shard_addresses_[live[GossipParentRank(
-                               rank, config_.gossip_fanout)]];
-        message.kind = kLoadReportKind;
-        message.correlation = s;
-        message.payload = report;
-        gossip_load_messages_counter_->Inc();
-        network_.Send(std::move(message));
-        break;
-      }
-      case GossipTopologyKind::kAllToAll: {
-        // Full mesh: the router plus every live peer hears every report
-        // first-hand. Theta(M^2) messages — the baseline the hierarchical
-        // topology exists to beat.
-        for (std::uint32_t t : live) {
-          msg::Message message;
-          message.from = shard_addresses_[s];
-          message.to = t == s ? sink_address_ : shard_addresses_[t];
-          message.kind = kLoadReportKind;
-          message.correlation = s;
-          message.payload = report;
-          gossip_load_messages_counter_->Inc();
-          network_.Send(std::move(message));
-        }
-        break;
+    // kDirect reports straight to the router. kHierarchical sends one hop
+    // up the round's aggregation tree; the root reports to the router
+    // directly. Interior hops happen at delivery time (RelayLoadReport), so
+    // every hop costs one network latency of added staleness — surfaced by
+    // gossip.staleness_seconds.
+    NodeId to = sink_address_;
+    if (config_.gossip_topology == GossipTopologyKind::kHierarchical) {
+      const auto rank_it = std::find(live.begin(), live.end(), s);
+      const std::size_t rank =
+          static_cast<std::size_t>(rank_it - live.begin());
+      if (rank != 0) {
+        to = shard_addresses_[live[GossipParentRank(rank,
+                                                    config_.gossip_fanout)]];
       }
     }
+    msg::Message message;
+    message.from = shard_addresses_[s];
+    message.to = to;
+    message.kind = kLoadReportKind;
+    message.correlation = s;
+    message.payload = report;
+    gossip_load_messages_counter_->Inc();
+    network_.Send(std::move(message));
   }
 
   // The retry half of loss tolerance: a shard still acknowledging an older

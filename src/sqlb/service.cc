@@ -77,6 +77,13 @@ Status Config::Validate() const {
       status = ValidateBatching("sharded", sharded.batch_window,
                                 sharded.adaptive_batch);
       if (!status.ok()) return status;
+      if (sharded.worker_threads > 0) {
+        status = shard::ValidateParallelRun(shard::ParallelShapeOf(sharded));
+        if (!status.ok()) {
+          return Status::InvalidArgument("sharded config: " +
+                                         status.message());
+        }
+      }
       break;
     }
 

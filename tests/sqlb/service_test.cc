@@ -128,6 +128,70 @@ TEST(ServiceConfigTest, CreateSurfacesValidationErrorsThroughStatus) {
   EXPECT_NE(status.message().find("query_n"), std::string::npos);
 }
 
+/// A parallel sharded config a bit-identical run admits: consumer-affine
+/// routing, no re-routing, no reputation feedback.
+Config AdmissibleParallelConfig() {
+  Config config;
+  config.mode = Mode::kSharded;
+  config.scenario() = SmallScenario();
+  config.sharded.router.num_shards = 4;
+  config.sharded.router.policy = shard::RoutingPolicy::kLocality;
+  config.sharded.rerouting_enabled = false;
+  config.sharded.worker_threads = 2;
+  return config;
+}
+
+TEST(ServiceConfigTest, AcceptsConsumerAffineParallelRuns) {
+  EXPECT_TRUE(AdmissibleParallelConfig().Validate().ok());
+  // At M = 1 there is no other shard to re-route to: rerouting is inert.
+  Config single = AdmissibleParallelConfig();
+  single.sharded.router.num_shards = 1;
+  single.sharded.rerouting_enabled = true;
+  EXPECT_TRUE(single.Validate().ok());
+}
+
+TEST(ServiceConfigTest, RejectsParallelRunsThatCannotStayBitIdentical) {
+  struct Case {
+    const char* name;
+    void (*mutate)(Config&);
+    const char* knob;  // what the message must name
+  };
+  const Case cases[] = {
+      {"least-loaded",
+       [](Config& c) {
+         c.sharded.router.policy = shard::RoutingPolicy::kLeastLoaded;
+       },
+       "kLocality"},
+      {"hash",
+       [](Config& c) { c.sharded.router.policy = shard::RoutingPolicy::kHash; },
+       "kLocality"},
+      {"rerouting", [](Config& c) { c.sharded.rerouting_enabled = true; },
+       "rerouting"},
+      {"reputation",
+       [](Config& c) { c.scenario().reputation_feedback = true; },
+       "reputation_feedback"},
+  };
+  for (const Case& test_case : cases) {
+    Config config = AdmissibleParallelConfig();
+    test_case.mutate(config);
+    const Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test_case.name;
+    EXPECT_NE(status.message().find(test_case.knob), std::string::npos)
+        << test_case.name << ": " << status.message();
+
+    // Create reports the same status instead of aborting at Run().
+    Status created;
+    EXPECT_EQ(Service::Create(config, SqlbFactory(), &created), nullptr)
+        << test_case.name;
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument) << test_case.name;
+    EXPECT_EQ(created.message(), status.message()) << test_case.name;
+
+    // The same config run serially is admissible.
+    config.sharded.worker_threads = 0;
+    EXPECT_TRUE(config.Validate().ok()) << test_case.name;
+  }
+}
+
 // --- Facade parity ----------------------------------------------------------
 
 TEST(ServiceParityTest, MonoRunMatchesDirectDriverBitForBit) {
