@@ -9,6 +9,12 @@
 // with the event-driven characterization cache on vs off — the per-|P_q|
 // decomposition of the cache win that the end-to-end scenario benches
 // cannot separate. CI gates cached >= 1.3x uncached at N = 1024.
+//
+// BM_SnapshotExport and BM_DispatchComplete cost the failover layer's two
+// per-core hot spots: the crash snapshot taken at every snapshot barrier
+// (members 50 and 400 with 2,000 queries in flight, which it must not
+// walk) and the in-flight response table every dispatch and completion
+// goes through (ns per query dispatched and completed, at a held depth).
 
 #include <benchmark/benchmark.h>
 
@@ -124,6 +130,11 @@ struct CoreHarness {
   void Step(double dt) {
     now += dt;
     sim.RunUntil(now);  // drain service completions up to the arrival
+    MediateArrival();
+  }
+
+  /// Mediates one arrival at `now`.
+  void MediateArrival() {
     Query query;
     query.id = next_id++;
     query.consumer = ConsumerId(static_cast<std::uint32_t>(
@@ -178,6 +189,58 @@ void BM_CoreAllocateUncached(benchmark::State& state) {
 
 BENCHMARK(BM_CoreAllocateCached)->Arg(32)->Arg(256)->Arg(1024);
 BENCHMARK(BM_CoreAllocateUncached)->Arg(32)->Arg(256)->Arg(1024);
+
+// --- Failover layer: crash snapshot and in-flight response tracking --------
+
+/// ExportSnapshot over N members while 2,000 dispatched queries are still
+/// in flight (issued at one instant, so none completes): the snapshot
+/// copies member baselines only, so its cost follows N, not the in-flight
+/// count.
+void BM_SnapshotExport(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kInFlight = 2000;
+  CoreHarness harness(n, /*cache_enabled=*/true);
+  for (std::size_t i = 0; i < kInFlight; ++i) harness.MediateArrival();
+  if (harness.core->pending_responses() != kInFlight) {
+    state.SkipWithError("queries did not stay in flight");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(harness.core->ExportSnapshot(harness.now));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["in_flight"] =
+      static_cast<double>(harness.core->pending_responses());
+}
+BENCHMARK(BM_SnapshotExport)->Arg(50)->Arg(400);
+
+/// One query dispatched and one completed per iteration over 16 members,
+/// with the in-flight count held at the argument: each iteration mediates
+/// an arrival, then runs the simulator until the depth is back down. The
+/// gather and scoring over 16 candidates are small, so the row is
+/// dominated by the response table, the completion callback and its DES
+/// event; its cost should not grow with the depth.
+void BM_DispatchComplete(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  CoreHarness harness(/*n_providers=*/16, /*cache_enabled=*/true);
+  auto dispatch_and_complete = [&harness, depth] {
+    harness.MediateArrival();
+    while (harness.core->pending_responses() > depth && harness.sim.Step()) {
+    }
+    harness.now = harness.sim.Now();
+  };
+  // Fill to the depth, then warm the windows at that depth.
+  while (harness.core->pending_responses() < depth) harness.MediateArrival();
+  for (int i = 0; i < 1024; ++i) dispatch_and_complete();
+  const std::uint64_t completed_before = harness.result.queries_completed;
+  for (auto _ : state) {
+    dispatch_and_complete();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(harness.result.queries_completed -
+                                completed_before));
+}
+BENCHMARK(BM_DispatchComplete)->Arg(64)->Arg(2000);
 
 // Selecting several providers (q.n > 1) exercises the partial sort.
 void BM_SqlbAllocateMulti(benchmark::State& state) {

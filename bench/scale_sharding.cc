@@ -782,6 +782,9 @@ int main() {
                             chaos0.crashes == chaos4.crashes &&
                             chaos0.restored == chaos4.restored &&
                             chaos0.orphaned == chaos4.orphaned &&
+                            chaos0.dropped_completions ==
+                                chaos4.dropped_completions &&
+                            chaos0.snapshots == chaos4.snapshots &&
                             chaos0.mean_rt == chaos4.mean_rt &&
                             chaos0.cons_sat == chaos4.cons_sat;
   const bool chaos_active = chaos0.crashes > 0 && chaos0.snapshots > 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/math_util.h"
 #include "common/pow_kernel.h"
@@ -56,11 +57,6 @@ MediationCore::MediationCore(const Shared& shared, AllocationMethod* method,
   scratch_selected_ci_.reserve(std::min<std::size_t>(
       members, shared_.config->query_n));
   scratch_selected_mask_.reserve(members);
-  // In-flight responses track queries dispatched but not yet completed;
-  // under the paper's near-capacity workloads that is a few queued queries
-  // per member provider. Reserving a small multiple up front keeps the
-  // pending map from rehashing during the measured region.
-  pending_.reserve(members * 4 + 64);
 
   // Hoist the hot-path histogram references once: the record sites then pay
   // a null check instead of a map lookup per query.
@@ -375,22 +371,34 @@ MediationCore::Outcome MediationCore::ApplyDecision(
   // fire, the stale callbacks drop themselves (the query was re-issued by
   // the failover path — counting the orphaned completion would break the
   // completed + infeasible + reissued == issued identity).
-  pending_.emplace(query.id,
-                   PendingResponse{query, sim.Now(),
-                                   static_cast<std::uint32_t>(
-                                       decision.selected.size())});
+  std::uint32_t slot;
+  if (!free_pending_.empty()) {
+    slot = free_pending_.back();
+    free_pending_.pop_back();
+  } else {
+    SQLB_CHECK(pending_.size() < (1ULL << 32), "pending slot table full");
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  }
+  PendingResponse& pending = pending_[slot];
+  pending.query = query;
+  pending.dispatch_time = sim.Now();
+  pending.outstanding = static_cast<std::uint32_t>(decision.selected.size());
   ++allocated_queries_;
+  // The crash epoch (high half) and the slot (low half) in one word keep
+  // the capture at 16 bytes, inside std::function's inline buffer.
+  const std::uint64_t tag = crash_epoch_ << 32 | slot;
   for (std::size_t idx : decision.selected) {
     ProviderAgent& agent = providers[columns.ids[idx].index()];
     agent.Enqueue(sim, query,
-                  [this, epoch = crash_epoch_](const Query& q,
-                                               ProviderId performer,
-                                               SimTime t) {
-                    if (epoch != crash_epoch_) {
+                  [this, tag](const Query& q, ProviderId performer,
+                              SimTime t) {
+                    if (tag >> 32 != crash_epoch_) {
                       ++dropped_completions_;
                       return;
                     }
-                    OnQueryCompleted(q, performer, t);
+                    OnQueryCompleted(static_cast<std::uint32_t>(tag), q,
+                                     performer, t);
                   });
   }
   return Outcome::kAllocated;
@@ -462,7 +470,8 @@ void MediationCore::AllocateBatch(des::Simulator& sim,
   }
 }
 
-void MediationCore::OnQueryCompleted(const Query& query, ProviderId performer,
+void MediationCore::OnQueryCompleted(std::uint32_t slot, const Query& query,
+                                     ProviderId performer,
                                      SimTime completion_time) {
   if (shared_.config->reputation_feedback) {
     // Satisfaction-of-delivery signal: a response within twice the
@@ -478,13 +487,15 @@ void MediationCore::OnQueryCompleted(const Query& query, ProviderId performer,
     shared_.reputation->AddFeedback(performer, feedback);
   }
 
-  auto it = pending_.find(query.id);
-  SQLB_CHECK(it != pending_.end(), "completion for unknown query");
-  if (--it->second.outstanding > 0) return;
+  SQLB_CHECK(slot < pending_.size() && pending_[slot].outstanding > 0 &&
+                 pending_[slot].query.id == query.id,
+             "completion for unknown query");
+  PendingResponse& pending = pending_[slot];
+  if (--pending.outstanding > 0) return;
 
-  const double response_time = completion_time - it->second.query.issue_time;
-  const SimTime dispatch_time = it->second.dispatch_time;
-  pending_.erase(it);
+  const double response_time = completion_time - pending.query.issue_time;
+  const SimTime dispatch_time = pending.dispatch_time;
+  free_pending_.push_back(slot);
   const bool post_warmup = query.issue_time >= shared_.config->stats_warmup;
   if (rt_histogram_ != nullptr && post_warmup) {
     // Same population as the headline `response_time` stat, recorded
@@ -719,17 +730,6 @@ MediationCore::CoreSnapshot MediationCore::ExportSnapshot(SimTime now) const {
     handoff.member_since = member_since_[MemberSlot(index)];
     snapshot.members.push_back(handoff);
   }
-  snapshot.pending_count = pending_.size();
-  std::vector<QueryId> ids;
-  ids.reserve(pending_.size());
-  for (const auto& entry : pending_) ids.push_back(entry.first);
-  std::sort(ids.begin(), ids.end());
-  std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (QueryId id : ids) {
-    digest ^= static_cast<std::uint64_t>(id);
-    digest *= 1099511628211ULL;
-  }
-  snapshot.pending_digest = digest;
   return snapshot;
 }
 
@@ -737,9 +737,11 @@ MediationCore::CrashReport MediationCore::Crash() {
   CrashReport report;
   report.members.assign(active_providers_.begin(), active_providers_.end());
   std::sort(report.members.begin(), report.members.end());
-  report.lost_queries.reserve(pending_.size());
-  for (const auto& entry : pending_) {
-    report.lost_queries.push_back(entry.second.query);
+  report.lost_queries.reserve(pending_responses());
+  for (PendingResponse& pending : pending_) {
+    if (pending.outstanding > 0) {
+      report.lost_queries.push_back(std::move(pending.query));
+    }
   }
   std::sort(report.lost_queries.begin(), report.lost_queries.end(),
             [](const Query& a, const Query& b) { return a.id < b.id; });
@@ -754,6 +756,8 @@ MediationCore::CrashReport MediationCore::Crash() {
   }
   active_providers_.clear();
   pending_.clear();
+  free_pending_.clear();
+  SQLB_CHECK(crash_epoch_ + 1 < (1ULL << 32), "crash epoch overflows its tag");
   ++crash_epoch_;
   return report;
 }

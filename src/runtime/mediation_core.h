@@ -2,7 +2,6 @@
 #define SQLB_RUNTIME_MEDIATION_CORE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -202,27 +201,23 @@ class MediationCore {
 
   // --- Crash, snapshot, and failover recovery ------------------------------
 
-  /// A crash-consistent image of this core's mediator-owned state, taken at
-  /// an epoch barrier (every lane quiescent, so the cut is well-defined).
-  /// Provider windows, utilization history and queue state are *not* here:
-  /// agents are autonomous participants owned by the system, not mediator
-  /// state, so they survive a mediator crash by construction — what dies
-  /// with the mediator is its membership bookkeeping (who it mediates over,
-  /// chronic baselines, admission times) and its in-flight response
-  /// tracking, which is exactly what this captures.
+  /// A crash-consistent image of this core's membership, taken at an epoch
+  /// barrier (every lane quiescent, so the cut is well-defined). Provider
+  /// windows, utilization history and queue state are *not* here: agents
+  /// are autonomous participants owned by the system, not mediator state,
+  /// so they survive a mediator crash by construction. Nor is in-flight
+  /// work: a crash re-issues whatever was pending at crash time (its
+  /// CrashReport), so a snapshot only has to restore who the mediator
+  /// mediates over — member chronic baselines and admission times.
   struct CoreSnapshot {
     SimTime taken_at = 0.0;
     /// Member baselines as of the snapshot (the ExportMember payload),
     /// sorted by provider index.
     std::vector<ProviderHandoff> members;
-    /// In-flight FIFO digest: how many responses were pending and an
-    /// FNV-1a hash over their sorted query ids — a cheap diagnostic that a
-    /// restored run's in-flight population matches expectations.
-    std::size_t pending_count = 0;
-    std::uint64_t pending_digest = 0;
   };
 
-  /// Captures the snapshot at `now`. Pure read — never perturbs the run.
+  /// Captures the snapshot at `now`: O(members), a pure read that never
+  /// perturbs the run.
   CoreSnapshot ExportSnapshot(SimTime now) const;
 
   /// What a crash took down with the mediator.
@@ -274,7 +269,9 @@ class MediationCore {
 
   AllocationMethod* method() const { return method_; }
   std::uint64_t allocated_queries() const { return allocated_queries_; }
-  std::uint64_t pending_responses() const { return pending_.size(); }
+  std::uint64_t pending_responses() const {
+    return pending_.size() - free_pending_.size();
+  }
 
   // --- Event-driven characterization cache ---------------------------------
 
@@ -336,8 +333,9 @@ class MediationCore {
     Query query;
     /// When the query was dispatched to its providers (the kExecute span's
     /// start; equals the mediation time).
-    SimTime dispatch_time;
-    std::uint32_t outstanding;
+    SimTime dispatch_time = 0.0;
+    /// Provider completions still to come; 0 marks a free slot.
+    std::uint32_t outstanding = 0;
   };
 
   /// Returns `provider_index`'s characterization, valid as of `now`. The
@@ -361,8 +359,8 @@ class MediationCore {
   const MemberCharacterization& RefreshCharacterization(
       std::uint32_t provider_index, SimTime now);
 
-  void OnQueryCompleted(const Query& query, ProviderId performer,
-                        SimTime completion_time);
+  void OnQueryCompleted(std::uint32_t slot, const Query& query,
+                        ProviderId performer, SimTime completion_time);
   void DepartProvider(std::size_t index, DepartureReason reason, SimTime now);
   /// Fills `columns`/`prefs` with the per-query candidate gather for
   /// `query` over `pq` at `now`, reading the query-independent fields from
@@ -398,7 +396,16 @@ class MediationCore {
   std::vector<std::uint32_t> active_providers_;
   std::size_t initial_members_ = 0;
 
-  std::unordered_map<QueryId, PendingResponse> pending_;
+  /// In-flight responses as a dense slot table: a dispatch takes a slot
+  /// (recycled LIFO from free_pending_, else appended, so the table grows
+  /// only to the in-flight peak) and its completion callbacks carry the
+  /// slot beside the crash epoch in one tag word, so a completion indexes
+  /// its response directly. A slot is freed when its last completion arrives and never
+  /// earlier, so within one crash epoch no callback can reach a reused
+  /// slot; Crash() empties the table and bumps the epoch, so callbacks from
+  /// before it are dropped before they index anything.
+  std::vector<PendingResponse> pending_;
+  std::vector<std::uint32_t> free_pending_;
   std::uint64_t allocated_queries_ = 0;
 
   /// Bumped by Crash(): completion callbacks capture the epoch they were

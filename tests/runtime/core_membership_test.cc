@@ -190,6 +190,27 @@ TEST(CrashRecoveryTest, CompletionsOfDeadIncarnationAreSuppressed) {
   }
 }
 
+TEST(CrashRecoveryTest, StaleCompletionNeverTouchesAReusedSlot) {
+  Fixture fx;
+  const MediationCore::CoreSnapshot snapshot = fx.core->ExportSnapshot(5.0);
+  ASSERT_EQ(fx.AllocateAt(10.0, 0), MediationCore::Outcome::kAllocated);
+  fx.core->Crash();
+  EXPECT_EQ(fx.core->pending_responses(), 0u);
+  ASSERT_EQ(fx.core->RestoreSnapshot(snapshot), fx.members.size());
+
+  // The crash emptied the slot table, so q1 takes the slot q0 held while
+  // q0's completion is still scheduled on its provider. That completion
+  // carries the dead epoch and must drop before indexing the slot; q1's
+  // own completion must still find its response.
+  ASSERT_EQ(fx.AllocateAt(10.0, 1), MediationCore::Outcome::kAllocated);
+  EXPECT_EQ(fx.core->pending_responses(), 1u);
+
+  fx.sim.RunAll();
+  EXPECT_EQ(fx.result.queries_completed, 1u);
+  EXPECT_EQ(fx.core->dropped_completions(), 1u);
+  EXPECT_EQ(fx.core->pending_responses(), 0u);
+}
+
 TEST(CrashRecoveryTest, RestoreReinstallsSnapshotMembers) {
   Fixture fx;
   const MediationCore::CoreSnapshot snapshot = fx.core->ExportSnapshot(20.0);

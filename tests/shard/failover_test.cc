@@ -283,6 +283,37 @@ TEST(FailoverAccountingTest, RandomChaosScheduleKeepsInvariant) {
   EXPECT_GT(result.run.remaining_providers, 0u);
 }
 
+TEST(FailoverAccountingTest, MultiProviderQueriesConserveAcrossKills) {
+  // Each query dispatches to three providers, so a crash catches responses
+  // with several completions still outstanding. The arrival rate does not
+  // scale with query_n, so 0.4 offers about 1.2x the population's capacity.
+  SystemConfig base = SmallConfig(0.4, 41);
+  base.query_n = 3;
+  base.shard_faults = FaultSchedule::RandomKills(
+      50.0, 250.0, /*kills_per_1000s=*/20.0, /*num_shards=*/8, /*seed=*/3);
+  ASSERT_GT(base.shard_faults.events.size(), 0u);
+
+  ShardedSystemConfig serial = StrictFaultConfig(base, 8);
+  const ShardedRunResult serial_result =
+      RunShardedScenario(serial, SqlbFactory());
+
+  ASSERT_GE(serial_result.shard_crashes, 1u);
+  ExpectZeroLostCompletions(serial_result.run);
+  const std::uint64_t in_flight =
+      serial_result.run.metrics.CounterValue("failover.reissued.in_flight");
+  ASSERT_GT(in_flight, 0u);
+  // Every query lost in flight drops at least one completion; dropping
+  // more than that means some lost query still had several providers
+  // working on it when its mediator crashed.
+  EXPECT_GT(serial_result.dropped_completions, in_flight);
+
+  ShardedSystemConfig parallel = serial;
+  parallel.worker_threads = 4;
+  const ShardedRunResult parallel_result =
+      RunShardedScenario(parallel, SqlbFactory());
+  ExpectIdenticalShardedRuns(serial_result, parallel_result);
+}
+
 TEST(FailoverAccountingTest, BatchedIntakeReissuesBufferedQueries) {
   // A wide coalescing window keeps queries sitting in the intake buffer,
   // so a kill catches routed-but-unmediated work too.
