@@ -1,38 +1,40 @@
-// Scaling the mediation tier, two ways:
+// Scaling the mediation tier. The arms, in run order:
 //
-//  1. Algorithmic (PR 1): 1 vs 2 vs 4 vs 8 shards on the single-threaded
+//  1. Algorithmic: mono vs 1, 2, 4 and 8 shards on the single-threaded
 //     kernel. Each shard mediates over ~N/M candidates, so the per-query
 //     Algorithm-1 cost shrinks with M and allocation throughput rises.
-//  2. Wall-clock (PR 2): the same 8-shard tier under epoch-stepped
-//     parallel execution (per-shard lanes on a worker pool, deterministic
-//     sink merge at gossip/probe barriers) with batched Algorithm-1 intake
+//  2. Wall-clock: the consumer-affine 8-shard tier (8-serial), its
+//     observability pair (8-noobs, 8-trace), batched Algorithm-1 intake
 //     (one matchmaking pass + one provider characterization snapshot + one
-//     scoring pass per arrival burst).
+//     scoring pass per arrival burst), and epoch-stepped parallel lanes on
+//     a worker pool with a deterministic sink merge at gossip/probe
+//     barriers (8-par-*).
 //  3. Load-aware routing, serially: least-loaded routing (which a parallel
 //     run, bit-identical to serial, cannot admit) unbatched, with a static
 //     batch window, and with adaptive per-shard windows.
-//  4. Churn (PR 4): the same 8-shard strict tier under a provider
-//     join/leave schedule that guts one shard mid-run, with runtime ring
-//     re-partitioning on — the churn arm must stay bit-identical between
-//     serial and parallel execution and must not regress allocation
-//     throughput vs the no-churn arm by more than the CI gate (20%).
-//  5. Chaos (PR 5): random mid-run shard kills with crash-consistent
-//     snapshots, survivor adoption of the dead shard's providers, and
-//     re-issue of the queries the crash lost. The zero-lost-completions
-//     invariant — completed + infeasible + reissued == issued, exactly —
-//     is pinned here under the kill schedule, the serial and 4-thread
-//     chaos rows must stay bit-identical, and throughput vs the calm
-//     8-serial arm is the CI gate (>= 0.70).
-//  6. Million-agent scale (this PR): pooled SoA agent state
-//     (runtime/agent_store.h + mem/) against the eager heap layout,
-//     hierarchical gossip (shard/gossip_topology.h) against the direct
-//     baseline at M = 64, and a 1M-provider 64-shard pooled arm. Pins:
-//     the pooled twin of 8-serial is bit-identical; the topology-aware
-//     parallel twin is bit-identical; per-provider resident bytes drop
-//     >= 4x under the pool (and >= 4x again at 1M, where almost every
-//     provider is idle and the lazy chunks never materialize); the
-//     hierarchical 64-shard arm's wire cost stays under the
-//     rounds x M ceil(log2 M) budget the closed form promises.
+//  4. Churn: the 8-shard strict tier under a provider join/leave schedule
+//     that guts one shard mid-run, with runtime ring re-partitioning on —
+//     serial and 4-thread rows must stay bit-identical, and allocation
+//     throughput vs the no-churn arm is the CI gate (>= 0.80).
+//  5. Chaos: random mid-run shard kills with crash-consistent snapshots,
+//     survivor adoption of the dead shard's providers, and re-issue of the
+//     queries the crash lost. The zero-lost-completions invariant —
+//     completed + infeasible + reissued == issued, exactly — is pinned
+//     under the kill schedule, and the serial and 4-thread chaos rows must
+//     stay bit-identical, failover counters included.
+//  6. Wall-clock ratio gates: chaos vs 8-serial (>= 0.70), adaptive vs
+//     static windows (>= 0.95) and traced vs uninstrumented (>= 0.97) each
+//     re-run their arm pair three times back to back, alternating which
+//     arm goes first; the gate reads the median ratio.
+//  7. Million-agent scale: the topology-aware parallel twin of 8-serial
+//     (bit-identical), hierarchical gossip (shard/gossip_topology.h)
+//     against the direct baseline at M = 64 (the hierarchical wire cost
+//     must stay under the rounds x M ceil(log2 M) budget the closed form
+//     promises), and agent-state residency — SoA columns plus the chunks
+//     each provider draws lazily from its lane's arena — under absolute
+//     ceilings: <= 2,200 B/provider at 65,536 providers and <= 1,600
+//     B/provider on the 1M-provider arm, where almost every provider is
+//     idle and its chunks never materialize.
 //
 // What to look for:
 //   - M = 1 (sharded) reproduces the mono-mediator exactly, and the
@@ -116,7 +118,7 @@ struct ScalePoint {
   // Scale arms: agent-state residency and gossip wire cost.
   std::size_t providers = 0;
   double bytes_per_provider = 0.0;  // SoA columns + resident chunks, / N
-  double arena_mb = 0.0;            // pooled arms: arena pages reserved
+  double arena_mb = 0.0;            // arena pages reserved
   std::uint64_t gossip_msgs = 0;    // load-report sends + relay forwards
   std::uint64_t relay_forwards = 0;
   double peak_rss_mb = 0.0;         // process VmHWM (monotonic across arms)
@@ -216,13 +218,11 @@ struct ShardedOptions {
   /// Observability arms: metrics registry (histograms) and span tracing.
   bool obs_metrics = true;
   bool obs_trace = false;
-  /// Scale arms: gossip dissemination topology (shard/gossip_topology.h),
-  /// pooled SoA agent state (runtime/agent_store.h + mem/), and
-  /// topology-aware worker placement with the static lane->thread schedule
-  /// (des/hw_topo.h).
+  /// Scale arms: gossip dissemination topology (shard/gossip_topology.h)
+  /// and topology-aware worker placement with the static lane->thread
+  /// schedule (des/hw_topo.h).
   shard::GossipTopologyKind gossip_topology =
       shard::GossipTopologyKind::kDirect;
-  bool agent_pool = false;
   bool topology_aware = false;
 };
 
@@ -247,7 +247,6 @@ ScalePoint RunSharded(const runtime::SystemConfig& base,
   config.base.observability.metrics = options.obs_metrics;
   config.base.observability.trace = options.obs_trace;
   config.gossip_topology = options.gossip_topology;
-  config.base.agent_pool.enabled = options.agent_pool;
   config.topology_aware_workers = options.topology_aware;
 
   shard::ShardedMediationSystem system(
@@ -335,6 +334,40 @@ const ScalePoint& FindPoint(const std::vector<ScalePoint>& points,
 
 double Throughput(const ScalePoint& p) {
   return static_cast<double>(p.completed) / p.wall_seconds;
+}
+
+/// Throughput(b) / Throughput(a) over three back-to-back runs of the pair,
+/// the arm that runs first alternating between repetitions so a drifting
+/// host favours neither side. One timed pair swings with host drift by
+/// more than the gate margins; the gates read the median.
+std::vector<double> RatioRepetitions(const runtime::SystemConfig& base,
+                                     const ShardedOptions& a,
+                                     const ShardedOptions& b) {
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3; ++rep) {
+    double a_throughput = 0.0;
+    double b_throughput = 0.0;
+    if (rep % 2 == 0) {
+      a_throughput = Throughput(RunSharded(base, a));
+      b_throughput = Throughput(RunSharded(base, b));
+    } else {
+      b_throughput = Throughput(RunSharded(base, b));
+      a_throughput = Throughput(RunSharded(base, a));
+    }
+    ratios.push_back(b_throughput / a_throughput);
+  }
+  return ratios;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+std::string JsonNumbers(const std::vector<double>& values) {
+  bench::JsonArray array;
+  for (double v : values) array.AddRaw(bench::JsonNumber(v));
+  return array.ToString();
 }
 
 }  // namespace
@@ -500,14 +533,18 @@ int main() {
   chaos_parallel.worker_threads = 4;
   points.push_back(RunSharded(base, chaos_parallel));
 
-  // The million-agent scale story. First the two bit-identity twins on the
-  // paper workload: pooled SoA agent state and topology-aware parallel
-  // placement must each reproduce 8-serial exactly.
-  ShardedOptions pooled_twin = serial_base;
-  pooled_twin.label = "8-pooled";
-  pooled_twin.agent_pool = true;
-  points.push_back(RunSharded(base, pooled_twin));
+  // The wall-clock ratio gates, each read from repeated interleaved runs of
+  // its arm pair; the single rows above feed the pins and the table.
+  const std::vector<double> chaos_ratios =
+      RatioRepetitions(base, serial_base, chaos_serial);
+  const std::vector<double> adapt_ratios =
+      RatioRepetitions(base, ll_batched, adaptive);
+  const std::vector<double> obs_ratios =
+      RatioRepetitions(base, noobs, traced);
 
+  // The million-agent scale story. First the bit-identity twin on the
+  // paper workload: topology-aware parallel placement must reproduce
+  // 8-serial exactly.
   ShardedOptions topo_twin = serial_base;
   topo_twin.label = "8-par-topo";
   topo_twin.worker_threads = 4;
@@ -524,7 +561,6 @@ int main() {
   ShardedOptions gossip_direct{"64-direct", kGossipShards,
                                shard::RoutingPolicy::kLocality, false, 0,
                                0.0};
-  gossip_direct.agent_pool = true;
   points.push_back(RunSharded(gossip_base, gossip_direct));
 
   ShardedOptions gossip_hier = gossip_direct;
@@ -532,28 +568,20 @@ int main() {
   gossip_hier.gossip_topology = shard::GossipTopologyKind::kHierarchical;
   points.push_back(RunSharded(gossip_base, gossip_hier));
 
-  // Per-provider residency: the eager heap layout against the pooled SoA
-  // layout on an identical 64-shard run. The query volume is pinned low —
-  // every mediation proposes to all of its shard's candidates, so each
-  // provider's resident window grows ~24 B per query its shard sees; a
-  // near-idle fleet is the provisioned-for-peak shape the pool exists for,
-  // and it keeps the eager layout's preallocated rings (the fixed ~13 KB)
-  // the dominant term.
+  // Per-provider residency on a 64-shard run. The query volume is pinned
+  // low — every mediation proposes to all of its shard's candidates, so
+  // each provider's resident window grows ~24 B per query its shard sees;
+  // a near-idle fleet is the provisioned-for-peak shape that lazy chunks
+  // exist for.
   const runtime::SystemConfig mem_base =
       ScaleBase(/*providers=*/fast ? 16384 : 65536,
                 /*duration=*/fast ? 240.0 : 480.0, /*target_qps=*/8.0);
   ShardedOptions mem_pooled{"64-pooled", kGossipShards,
                             shard::RoutingPolicy::kLocality, false, 0, 0.0};
-  mem_pooled.agent_pool = true;
   mem_pooled.gossip_topology = shard::GossipTopologyKind::kHierarchical;
   points.push_back(RunSharded(mem_base, mem_pooled));
 
-  ShardedOptions mem_aos = mem_pooled;
-  mem_aos.label = "64-aos";
-  mem_aos.agent_pool = false;
-  points.push_back(RunSharded(mem_base, mem_aos));
-
-  // The headline arm: one million providers on 64 shards, pooled state +
+  // The headline arm: one million providers on 64 shards, arena chunks +
   // lazy preferences + hierarchical gossip. Runs LAST so the VmHWM reading
   // is its own high-water mark. Fast mode skips it (and says so).
   bool million_ran = false;
@@ -809,16 +837,8 @@ int main() {
       static_cast<unsigned long long>(chaos0.orphaned),
       static_cast<unsigned long long>(chaos0.dropped_completions));
 
-  // 7. Pooled agent state must be storage-only: the pooled twin replays
-  //    8-serial bit for bit, and so does the topology-aware parallel twin
+  // 7. The topology-aware parallel twin replays 8-serial bit for bit
   //    (placement moves threads, never the schedule within a lane).
-  const ScalePoint& pooled_pt = FindPoint(points, "8-pooled");
-  const bool pooled_parity = serial8.issued == pooled_pt.issued &&
-                             serial8.completed == pooled_pt.completed &&
-                             serial8.mean_rt == pooled_pt.mean_rt &&
-                             serial8.cons_sat == pooled_pt.cons_sat;
-  std::printf("pooled-state parity with 8-serial: %s\n",
-              pooled_parity ? "EXACT" : "BROKEN (investigate!)");
   const ScalePoint& topo_pt = FindPoint(points, "8-par-topo");
   const bool topo_parity = serial8.issued == topo_pt.issued &&
                            serial8.completed == topo_pt.completed &&
@@ -852,38 +872,32 @@ int main() {
       static_cast<unsigned long long>(gossip_budget),
       gossip_budget_ok ? "UNDER" : "OVER (investigate!)");
 
-  // 9. Per-provider residency: the pooled layout must cut resident bytes
-  //     per provider >= 4x vs the eager heap twin of the same run, and the
-  //     1M arm (full runs) must hold the same factor vs that AoS baseline
-  //     while finishing inside container memory.
-  const ScalePoint& mem_aos_pt = FindPoint(points, "64-aos");
+  // 9. Per-provider residency (SoA columns + resident chunks) under
+  //    absolute ceilings: 2,200 B/provider on the 64-shard arm, and on the
+  //    1M arm (full runs) 1,600 B/provider with the run completing work
+  //    inside container memory.
+  constexpr double kBytesPerProviderCeiling = 2200.0;
+  constexpr double kMillionBytesPerProviderCeiling = 1600.0;
   const ScalePoint& mem_pooled_pt = FindPoint(points, "64-pooled");
-  const double memory_ratio =
-      mem_pooled_pt.bytes_per_provider > 0.0
-          ? mem_aos_pt.bytes_per_provider / mem_pooled_pt.bytes_per_provider
-          : 0.0;
-  const bool memory_ratio_ok = memory_ratio >= 4.0;
+  const bool memory_ceiling_ok =
+      mem_pooled_pt.bytes_per_provider <= kBytesPerProviderCeiling;
   std::printf(
-      "agent-state residency at %zu providers: %.0f B/provider eager heap "
-      "vs %.0f B/provider pooled (%.1fx, CI gate >= 4x): %s\n",
-      mem_aos_pt.providers, mem_aos_pt.bytes_per_provider,
-      mem_pooled_pt.bytes_per_provider, memory_ratio,
-      memory_ratio_ok ? "OK" : "BROKEN (investigate!)");
+      "agent-state residency at %zu providers: %.0f B/provider (CI ceiling "
+      "%.0f): %s\n",
+      mem_pooled_pt.providers, mem_pooled_pt.bytes_per_provider,
+      kBytesPerProviderCeiling,
+      memory_ceiling_ok ? "OK" : "BROKEN (investigate!)");
 
-  double million_ratio = 0.0;
   bool million_ok = true;  // vacuously true when the arm is skipped
   if (million_ran) {
-    million_ratio =
-        million_pt.bytes_per_provider > 0.0
-            ? mem_aos_pt.bytes_per_provider / million_pt.bytes_per_provider
-            : 0.0;
-    million_ok = million_pt.completed > 0 && million_ratio >= 4.0;
+    million_ok = million_pt.completed > 0 &&
+                 million_pt.bytes_per_provider <=
+                     kMillionBytesPerProviderCeiling;
     std::printf(
-        "1M-provider arm: %llu completed, %.0f B/provider (%.1fx vs the "
-        "%zu-provider eager baseline, gate >= 4x), %.0f MiB peak RSS, "
-        "%.1f MiB arena, %llu gossip msgs: %s\n",
+        "1M-provider arm: %llu completed, %.0f B/provider (CI ceiling %.0f), "
+        "%.0f MiB peak RSS, %.1f MiB arena, %llu gossip msgs: %s\n",
         static_cast<unsigned long long>(million_pt.completed),
-        million_pt.bytes_per_provider, million_ratio, mem_aos_pt.providers,
+        million_pt.bytes_per_provider, kMillionBytesPerProviderCeiling,
         million_pt.peak_rss_mb, million_pt.arena_mb,
         static_cast<unsigned long long>(million_pt.gossip_msgs),
         million_ok ? "OK" : "BROKEN (investigate!)");
@@ -918,8 +932,7 @@ int main() {
   const ScalePoint& adapt = FindPoint(points, "8-adapt");
   const double adapt_rt_ratio =
       ll_twin.mean_rt > 0.0 ? adapt.mean_rt / ll_twin.mean_rt : 1.0;
-  const double adapt_throughput_ratio =
-      Throughput(adapt) / Throughput(ll_twin);
+  const double adapt_throughput_ratio = Median(adapt_ratios);
   const double adapt_burst = adapt.batch_flushes > 0
                                  ? static_cast<double>(adapt.batched_queries) /
                                        static_cast<double>(adapt.batch_flushes)
@@ -931,7 +944,8 @@ int main() {
           : 0.0;
   std::printf(
       "adaptive windows vs 8-ll-batch: rt %.4fs vs %.4fs (%.2fx, gate <= "
-      "1.0), alloc/s ratio %.2fx (gate >= 1.0), mean burst %.1f vs %.1f\n",
+      "1.0), median alloc/s ratio %.2fx (gate >= 0.95), mean burst %.1f vs "
+      "%.1f\n",
       adapt.mean_rt, ll_twin.mean_rt, adapt_rt_ratio, adapt_throughput_ratio,
       adapt_burst, static_burst);
 
@@ -958,22 +972,22 @@ int main() {
   // to the identically-configured calm arm. Crashes cost re-mediation of
   // everything re-issued plus the adoption drain, so some loss is expected;
   // CI fails below 0.7 (a > 30% regression).
-  const double chaos_throughput_ratio =
-      Throughput(chaos0) / Throughput(serial8);
+  const double chaos_throughput_ratio = Median(chaos_ratios);
   std::printf(
-      "chaos arm throughput vs 8-serial: %.2fx (CI gate: >= 0.70)\n",
-      chaos_throughput_ratio);
+      "chaos arm throughput vs 8-serial: median %.2fx of %.2f, %.2f, %.2f "
+      "(CI gate: >= 0.70)\n",
+      chaos_throughput_ratio, chaos_ratios[0], chaos_ratios[1],
+      chaos_ratios[2]);
 
   // Observability overhead: the fully-instrumented arm (histograms + spans
   // at the default 1-in-16 sampling) against the uninstrumented twin.
-  const ScalePoint& noobs_pt = FindPoint(points, "8-noobs");
-  const ScalePoint& trace_pt = FindPoint(points, "8-trace");
-  const double obs_throughput_ratio =
-      Throughput(trace_pt) / Throughput(noobs_pt);
+  const double obs_throughput_ratio = Median(obs_ratios);
   std::printf(
-      "observability overhead: traced/uninstrumented alloc/s ratio %.3fx "
-      "(CI gate: >= 0.97), %zu spans kept, %llu dropped\n\n",
-      obs_throughput_ratio, traced_result.run.trace_spans.size(),
+      "observability overhead: traced/uninstrumented median alloc/s ratio "
+      "%.3fx of %.3f, %.3f, %.3f (CI gate: >= 0.97), %zu spans kept, %llu "
+      "dropped\n\n",
+      obs_throughput_ratio, obs_ratios[0], obs_ratios[1], obs_ratios[2],
+      traced_result.run.trace_spans.size(),
       static_cast<unsigned long long>(traced_result.run.trace_spans_dropped));
 
   bench::JsonObject summary;
@@ -1004,6 +1018,7 @@ int main() {
       .Add("chaos_parity_exact", chaos_parity)
       .Add("chaos_active", chaos_active)
       .Add("chaos_throughput_ratio", chaos_throughput_ratio)
+      .AddRaw("chaos_throughput_ratios", JsonNumbers(chaos_ratios))
       .Add("chaos_shard_crashes", chaos0.crashes)
       .Add("chaos_snapshots_taken", chaos0.snapshots)
       .Add("chaos_reissued_queries", chaos0.reissued)
@@ -1014,17 +1029,18 @@ int main() {
       .Add("static_batch_mean_rt", ll_twin.mean_rt)
       .Add("adaptive_rt_ratio", adapt_rt_ratio)
       .Add("adaptive_throughput_ratio", adapt_throughput_ratio)
+      .AddRaw("adaptive_throughput_ratios", JsonNumbers(adapt_ratios))
       .Add("adaptive_mean_burst", adapt_burst)
       .Add("static_mean_burst", static_burst)
       .Add("observability_transparent", obs_transparent_pin)
       .Add("observability_throughput_ratio", obs_throughput_ratio)
+      .AddRaw("observability_throughput_ratios", JsonNumbers(obs_ratios))
       .Add("trace_spans",
            static_cast<std::uint64_t>(traced_result.run.trace_spans.size()))
       .Add("trace_spans_dropped", traced_result.run.trace_spans_dropped)
       .Add("serial_rt_p50", serial8.rt_p50)
       .Add("serial_rt_p99", serial8.rt_p99)
       .Add("serial_rt_p999", serial8.rt_p999)
-      .Add("pooled_parity_exact", pooled_parity)
       .Add("topology_parity_exact", topo_parity)
       .Add("gossip_shards", kGossipShards)
       .Add("gossip_rounds", gossip_rounds)
@@ -1033,14 +1049,14 @@ int main() {
       .Add("gossip_hier_relay_forwards", g_hier.relay_forwards)
       .Add("gossip_budget_messages", gossip_budget)
       .Add("gossip_budget_ok", gossip_budget_ok)
-      .Add("aos_bytes_per_provider", mem_aos_pt.bytes_per_provider)
       .Add("pooled_bytes_per_provider", mem_pooled_pt.bytes_per_provider)
-      .Add("memory_bytes_ratio", memory_ratio)
-      .Add("memory_ratio_ok", memory_ratio_ok)
+      .Add("bytes_per_provider_ceiling", kBytesPerProviderCeiling)
+      .Add("memory_ceiling_ok", memory_ceiling_ok)
       .Add("million_arm_ran", million_ran)
       .Add("million_bytes_per_provider",
            million_ran ? million_pt.bytes_per_provider : 0.0)
-      .Add("million_memory_ratio", million_ratio)
+      .Add("million_bytes_per_provider_ceiling",
+           kMillionBytesPerProviderCeiling)
       .Add("million_peak_rss_mb", million_ran ? million_pt.peak_rss_mb : 0.0)
       .Add("million_completed", million_ran ? million_pt.completed : 0)
       .Add("million_ok", million_ok);
@@ -1091,9 +1107,8 @@ int main() {
   return mono_parity && obs_transparent_pin && parallel_parity &&
                  thread_determinism && churn_parity &&
                  churn_repartitioned && chaos_zero_lost && chaos_parity &&
-                 chaos_active && speedup8 >= 2.0 && pooled_parity &&
-                 topo_parity && gossip_budget_ok && memory_ratio_ok &&
-                 million_ok
+                 chaos_active && speedup8 >= 2.0 && topo_parity &&
+                 gossip_budget_ok && memory_ceiling_ok && million_ok
              ? 0
              : 1;
 }

@@ -4,8 +4,6 @@
 
 namespace sqlb::mem {
 
-AgentArena::AgentArena(const AgentPoolConfig& config)
-    : pages_(config.page_bytes, config.max_bytes_per_arena),
-      slabs_(&pages_, kAgentChunkBytes) {}
+AgentArena::AgentArena() : slabs_(&pages_, kAgentChunkBytes) {}
 
 }  // namespace sqlb::mem

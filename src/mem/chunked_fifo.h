@@ -9,10 +9,11 @@
 #include "mem/page_pool.h"
 
 /// \file
-/// FIFO queue over fixed-size chunks — the pooled replacement for the
-/// per-agent std::deque. Chunks come from a SlabPool (lazily, so an idle
-/// agent holds no queue memory at all) or from the heap when no pool is
-/// wired (the AoS-baseline mode). Each chunk records the pool it came from:
+/// FIFO queue over fixed-size chunks, the per-agent service queue and
+/// utilization event log. Chunks are allocated on first push, so an idle
+/// agent holds no queue memory at all; they come from a SlabPool, or from
+/// the heap when no pool is wired (standalone agents in unit tests and
+/// examples). Each chunk records the pool it came from:
 /// a provider migrated by a churn handoff or failover adoption drains chunks
 /// allocated on its old shard's arena from its new lane, and every chunk
 /// returns to its owner.
@@ -21,8 +22,7 @@ namespace sqlb::mem {
 
 /// The chunk granule shared by the agent containers. Small enough that a
 /// provider holding a handful of queued queries or window entries stays
-/// within one chunk; an eager first chunk matches the std::deque node the
-/// legacy layout allocated up front.
+/// within one chunk.
 inline constexpr std::size_t kAgentChunkBytes = 512;
 
 template <typename T>
@@ -39,16 +39,8 @@ class ChunkedFifo {
   static_assert(alignof(T) <= alignof(std::max_align_t),
                 "over-aligned element type");
 
-  /// `eager_first_chunk` pre-allocates one heap chunk, reproducing the
-  /// up-front node of the std::deque this container replaces (the honest
-  /// AoS-baseline residency). Lazy mode allocates nothing until the first
-  /// push.
-  explicit ChunkedFifo(bool eager_first_chunk = false) {
-    if (eager_first_chunk) {
-      head_ = tail_ = NewChunk(nullptr);
-      SQLB_CHECK(head_ != nullptr, "heap chunk allocation failed");
-    }
-  }
+  /// Allocates nothing until the first push.
+  ChunkedFifo() = default;
 
   ~ChunkedFifo() { Release(); }
 

@@ -11,17 +11,14 @@
 #include "mem/page_pool.h"
 
 /// \file
-/// Fixed-capacity ring over lazily-allocated chunks — the pooled replacement
-/// for the eagerly-sized RingBuffer behind the provider characterization
-/// windows. Push/eviction semantics replicate common/ring_buffer.h exactly
-/// (same index arithmetic, same evicted element), so a window running on a
-/// PagedRing is bit-identical to one on a RingBuffer; only the backing
-/// storage differs. In eager mode every chunk is heap-allocated up front
-/// (the honest AoS-baseline residency: the legacy RingBuffer sized its
-/// vector to k at construction); in lazy mode a chunk materializes — from
-/// the wired SlabPool, or the heap while none is wired — the first time a
-/// logical slot inside it is written, so a provider proposed only a few
-/// queries holds one chunk instead of k slots.
+/// Fixed-capacity ring over lazily-allocated chunks, the storage behind the
+/// provider characterization windows. Push/eviction semantics replicate
+/// common/ring_buffer.h exactly (same index arithmetic, same evicted
+/// element), so a window running on a PagedRing is bit-identical to one on
+/// a RingBuffer; only the backing storage differs. A chunk materializes —
+/// from the wired SlabPool, or the heap while none is wired — the first
+/// time a logical slot inside it is written, so a provider proposed only a
+/// few queries holds one chunk instead of k slots.
 
 namespace sqlb::mem {
 
@@ -40,17 +37,11 @@ class PagedRing {
       (kAgentChunkBytes - sizeof(ChunkHeader)) / sizeof(T);
   static_assert(kChunkCapacity >= 1, "chunk too small for one element");
 
-  PagedRing(std::size_t capacity, bool lazy)
+  explicit PagedRing(std::size_t capacity)
       : capacity_(capacity),
         num_chunks_((capacity + kChunkCapacity - 1) / kChunkCapacity),
         chunks_(new ChunkHeader*[num_chunks_]()) {
     SQLB_CHECK(capacity >= 1, "PagedRing capacity must be >= 1");
-    if (!lazy) {
-      for (std::size_t c = 0; c < num_chunks_; ++c) {
-        chunks_[c] = NewChunk(nullptr);
-        SQLB_CHECK(chunks_[c] != nullptr, "heap chunk allocation failed");
-      }
-    }
   }
 
   ~PagedRing() {
@@ -76,7 +67,7 @@ class PagedRing {
     other.size_ = 0;
   }
 
-  /// Wires (or rewires) the pool lazy chunks come from; already-resident
+  /// Wires (or rewires) the pool new chunks come from; already-resident
   /// chunks keep their original owner and return there when freed.
   void set_pool(SlabPool* pool) { pool_ = pool; }
 
@@ -113,8 +104,8 @@ class PagedRing {
   }
 
   /// Hints the prefetcher at the slot the next Push will write — the
-  /// PagedRing analogue of RingBuffer::PrefetchPushSlot. A lazy slot whose
-  /// chunk is not resident yet has no address to prefetch.
+  /// PagedRing analogue of RingBuffer::PrefetchPushSlot. A slot whose chunk
+  /// is not resident yet has no address to prefetch.
   void PrefetchPushSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
     std::size_t physical = size_ < capacity_ ? head_ + size_ : head_;
@@ -165,8 +156,7 @@ class PagedRing {
     ChunkHeader*& c = chunks_[physical / kChunkCapacity];
     if (c == nullptr) {
       c = NewChunk(pool_);
-      SQLB_CHECK(c != nullptr,
-                 "agent pool out of memory: raise agent_pool.max_bytes");
+      SQLB_CHECK(c != nullptr, "agent arena allocation failed");
     }
     return Slots(c) + physical % kChunkCapacity;
   }

@@ -56,8 +56,8 @@ double ConsumerWindow::RawSatisfaction() const {
   return satisfaction_sum_ / static_cast<double>(entries_.size());
 }
 
-ProviderWindow::ProviderWindow(const WindowConfig& config, bool lazy)
-    : config_(config), entries_(config.capacity, lazy) {
+ProviderWindow::ProviderWindow(const WindowConfig& config)
+    : config_(config), entries_(config.capacity) {
   SQLB_CHECK(config.prior >= 0.0 && config.prior <= 1.0,
              "window prior must lie in [0, 1]");
   SQLB_CHECK(config.satisfaction_prior_weight >= 0.0,

@@ -94,14 +94,11 @@ class ConsumerWindow {
 /// Window over the provider's k last proposed queries.
 class ProviderWindow {
  public:
-  /// `lazy` selects the pooled backing mode of the entry ring: eager
-  /// (default) allocates every chunk up front like the legacy RingBuffer
-  /// sized its vector; lazy materializes chunks on first write, from the
-  /// pool wired via set_chunk_pool() (heap until one is wired). The two
-  /// modes run the identical Record/eviction arithmetic.
-  explicit ProviderWindow(const WindowConfig& config, bool lazy = false);
+  /// The entry ring materializes its chunks on first write, from the pool
+  /// wired via set_chunk_pool() (the heap until one is wired).
+  explicit ProviderWindow(const WindowConfig& config);
 
-  /// Wires the slab pool lazy chunks come from (the owning lane's arena);
+  /// Wires the slab pool new chunks come from (the owning lane's arena);
   /// resident chunks keep their original owner.
   void set_chunk_pool(mem::SlabPool* pool) { entries_.set_pool(pool); }
 

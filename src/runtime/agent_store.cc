@@ -4,8 +4,6 @@
 
 namespace sqlb::runtime {
 
-AgentStore::AgentStore(const mem::AgentPoolConfig& config) : config_(config) {}
-
 void AgentStore::Resize(std::size_t count) {
   backlog_units_.assign(count, 0.0);
   total_allocated_units_.assign(count, 0.0);
@@ -18,22 +16,19 @@ void AgentStore::Resize(std::size_t count) {
   util_revision_.assign(count, 0);
   flags_.assign(count, kActive);
   core_slot_.assign(count, kNoCoreSlot);
-  if (config_.enabled && arenas_.empty()) ConfigureArenas(1);
 }
 
 void AgentStore::ConfigureArenas(std::size_t lanes) {
-  if (!config_.enabled) return;
   SQLB_CHECK(arena_bytes_reserved() == 0,
-             "reconfiguring arenas after agents allocated pooled chunks");
+             "reconfiguring arenas after agents allocated arena chunks");
   arenas_.clear();
   arenas_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    arenas_.push_back(std::make_unique<mem::AgentArena>(config_));
+    arenas_.push_back(std::make_unique<mem::AgentArena>());
   }
 }
 
 mem::AgentArena* AgentStore::arena(std::size_t lane) {
-  if (arenas_.empty()) return nullptr;
   SQLB_CHECK(lane < arenas_.size(), "arena lane out of range");
   return arenas_[lane].get();
 }
@@ -50,9 +45,9 @@ std::size_t AgentStore::arena_bytes_reserved() const {
   return total;
 }
 
-std::size_t AgentStore::arena_peak_bytes() const {
+std::size_t AgentStore::arena_blocks_live() const {
   std::size_t total = 0;
-  for (const auto& arena : arenas_) total += arena->peak_bytes();
+  for (const auto& arena : arenas_) total += arena->slabs()->blocks_live();
   return total;
 }
 

@@ -25,20 +25,16 @@ class AgentStore {
   /// `core_slot` value of a provider that is currently no core's member.
   static constexpr std::uint32_t kNoCoreSlot = 0xffffffffu;
 
-  explicit AgentStore(const mem::AgentPoolConfig& config = {});
+  AgentStore() = default;
 
   AgentStore(const AgentStore&) = delete;
   AgentStore& operator=(const AgentStore&) = delete;
 
   /// Sizes every column for `count` providers, in the fresh-agent state
-  /// (active, idle, zero revisions, no core membership). When pooling is
-  /// enabled a single arena is configured; the sharded driver re-configures
-  /// one per shard before any agent allocates.
+  /// (active, idle, zero revisions, no core membership).
   void Resize(std::size_t count);
 
   std::size_t count() const { return backlog_units_.size(); }
-  const mem::AgentPoolConfig& config() const { return config_; }
-  bool pooled() const { return config_.enabled; }
 
   // --- Hot columns (indexed by provider slot = global provider index) ------
 
@@ -73,13 +69,14 @@ class AgentStore {
   /// characterization state instead of population-indexed arrays.
   std::uint32_t& core_slot(std::size_t i) { return core_slot_[i]; }
 
-  // --- Per-lane arenas (pooled mode only) ----------------------------------
+  // --- Per-lane arenas ------------------------------------------------------
 
   /// Recreates the arenas, one per lane. Must run before any agent
-  /// allocates pooled chunks (the sharded driver calls it with the shard
-  /// count right after engine construction).
+  /// allocates arena chunks: the scenario engine configures one lane, and
+  /// the sharded and serving drivers re-configure one per shard right after
+  /// engine construction.
   void ConfigureArenas(std::size_t lanes);
-  /// The lane's arena, or nullptr when pooling is disabled.
+  /// The lane's arena; never null once ConfigureArenas has run.
   mem::AgentArena* arena(std::size_t lane);
   std::size_t arena_count() const { return arenas_.size(); }
 
@@ -87,14 +84,13 @@ class AgentStore {
   std::size_t columns_bytes() const;
   /// Bytes currently reserved across every arena.
   std::size_t arena_bytes_reserved() const;
-  /// High-water bytes reserved across every arena.
-  std::size_t arena_peak_bytes() const;
+  /// Chunks currently allocated across every arena.
+  std::size_t arena_blocks_live() const;
 
  private:
   static constexpr std::uint8_t kActive = 1;
   static constexpr std::uint8_t kInService = 2;
 
-  mem::AgentPoolConfig config_;
   std::vector<double> backlog_units_;
   std::vector<double> total_allocated_units_;
   std::vector<double> util_sum_;

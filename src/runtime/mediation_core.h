@@ -87,10 +87,11 @@ class MediationCore {
     /// This core's hot-path histogram registry (the shard's lane registry),
     /// or null when histograms are off. Same single-writer discipline.
     obs::MetricsRegistry* metrics = nullptr;
-    /// This core's agent arena (the owning lane's pooled chunk source), or
-    /// null when agent pooling is disabled. Members admitted, imported or
-    /// restored onto this core are re-homed on it (SetArena); their
-    /// already-resident chunks keep draining to their original pool.
+    /// This core's agent arena (the owning lane's chunk source), or null for
+    /// a core built by hand without an engine (its members then keep heap
+    /// chunks). Members admitted, imported or restored onto this core are
+    /// re-homed on it (SetArena); their already-resident chunks keep
+    /// draining to their original pool.
     mem::AgentArena* arena = nullptr;
     /// When non-null, every mediation this core decides appends one record
     /// (query id, outcome, selected provider indices in selection order).

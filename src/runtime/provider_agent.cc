@@ -16,9 +16,7 @@ ProviderAgent::ProviderAgent(const ProviderProfile& profile,
       config_(&self_->config),
       store_(&self_->store),
       slot_(0),
-      window_(config_->window, /*lazy=*/false),
-      util_events_(/*eager_first_chunk=*/true),
-      queue_(/*eager_first_chunk=*/true) {
+      window_(config_->window) {
   SQLB_CHECK(profile.capacity > 0.0, "provider capacity must be positive");
 }
 
@@ -29,9 +27,7 @@ ProviderAgent::ProviderAgent(const ProviderProfile& profile,
       config_(config),
       store_(store),
       slot_(slot),
-      window_(config->window, /*lazy=*/store->pooled()),
-      util_events_(/*eager_first_chunk=*/!store->pooled()),
-      queue_(/*eager_first_chunk=*/!store->pooled()) {
+      window_(config->window) {
   SQLB_CHECK(profile.capacity > 0.0, "provider capacity must be positive");
   SQLB_CHECK(slot_ < store_->count(), "agent slot out of range");
 }
@@ -59,7 +55,7 @@ void ProviderAgent::UtilAdd(SimTime t, double value) {
              "windowed sum times must be non-decreasing");
   store_->util_last_time(slot_) = t;
   SQLB_CHECK(util_events_.push_back(UtilEvent{t, value}, slabs_),
-             "agent pool out of memory: raise agent_pool.max_bytes");
+             "agent arena allocation failed");
   store_->util_sum(slot_) += value;
   ++store_->util_revision(slot_);
 }
@@ -103,7 +99,7 @@ void ProviderAgent::Enqueue(des::Simulator& sim, const Query& query,
   ++store_->char_revision(slot_);
   SQLB_CHECK(
       queue_.push_back(PendingQuery{query, std::move(on_completion)}, slabs_),
-      "agent pool out of memory: raise agent_pool.max_bytes");
+      "agent arena allocation failed");
   if (!store_->in_service(slot_)) StartNextService(sim);
 }
 

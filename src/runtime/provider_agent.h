@@ -26,11 +26,10 @@
 /// event-revision stamp — lives in SoA columns of the engine-owned
 /// AgentStore (runtime/agent_store.h); the queue and the utilization event
 /// log are chunked FIFOs and the characterization window rides a chunked
-/// ring, all drawing from the owning lane's arena when pooling is enabled.
-/// The standalone (profile, config) constructor — unit tests, examples —
-/// self-hosts a single-slot store so the class keeps its old value
-/// semantics. Pooled and heap modes execute the identical arithmetic, so
-/// enabling the pool is bit-invisible to every parity pin.
+/// ring, all allocated on first use from the owning lane's arena. The
+/// standalone (profile, config) constructor — unit tests, examples —
+/// self-hosts a single-slot store with no arena, so its chunks come from
+/// the heap; the chunks and the arithmetic are identical either way.
 
 namespace sqlb::runtime {
 
@@ -56,7 +55,7 @@ class ProviderAgent {
       std::function<void(const Query&, ProviderId, SimTime)>;
 
   /// Standalone agent owning its own config copy and single-slot store
-  /// (heap-eager layout) — the unit-test / example constructor.
+  /// (heap chunks) — the unit-test / example constructor.
   ProviderAgent(const ProviderProfile& profile,
                 const ProviderAgentConfig& config);
 

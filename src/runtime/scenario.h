@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "des/time_series.h"
-#include "mem/agent_arena.h"
 #include "obs/observability.h"
 #include "runtime/consumer_agent.h"
 #include "runtime/departures.h"
@@ -98,16 +97,6 @@ struct SystemConfig {
   /// measure the cache itself (bench/micro_allocation.cc) or to run the
   /// parity twin.
   bool characterization_cache = true;
-
-  /// Pooled agent storage (src/mem/): when enabled, every provider agent's
-  /// chunked state — service queue, utilization event log, characterization
-  /// ring — materializes lazily from per-lane slab arenas instead of being
-  /// heap-allocated eagerly at construction. The arithmetic path is
-  /// identical in both modes, so results are bit-identical (pinned in
-  /// tests/shard/agent_pool_parity_test.cc); enabling the pool changes only
-  /// residency — ~4x+ fewer bytes per provider at scale, NUMA-homed pages
-  /// under topology-aware workers.
-  mem::AgentPoolConfig agent_pool;
 
   /// Observability gates (src/obs/): hot-path latency histograms and the
   /// per-query trace recorder. Pure observation — toggling these never

@@ -41,7 +41,6 @@ ScenarioEngine::ScenarioEngine(const SystemConfig& config)
       rng_(config.seed ^ 0x5e5703a7ULL),
       query_class_rng_(rng_.Fork(11)),
       consumer_pick_rng_(rng_.Fork(12)),
-      agent_store_(config.agent_pool),
       reputation_(config.population.num_providers, 0.0, 0.1),
       response_window_(500) {
   // One validated config path (runtime/scenario.h): drivers that surface
@@ -52,6 +51,7 @@ ScenarioEngine::ScenarioEngine(const SystemConfig& config)
   SQLB_CHECK(valid.ok(), valid.message().c_str());
 
   agent_store_.Resize(population_.num_providers());
+  agent_store_.ConfigureArenas(1);
   providers_.reserve(population_.num_providers());
   for (const ProviderProfile& profile : population_.providers()) {
     providers_.emplace_back(profile, &config_.provider, &agent_store_,

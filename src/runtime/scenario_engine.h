@@ -203,10 +203,10 @@ class ScenarioEngine {
   void SetMethodName(std::string name) { result_.method_name = std::move(name); }
 
   /// The SoA backing store of every provider agent (hot columns + the
-  /// per-lane chunk arenas when SystemConfig::agent_pool is enabled). The
-  /// sharded driver calls ConfigureArenas(M) from its constructor — before
-  /// any core allocates pooled chunks — to home each lane's chunks on its
-  /// own arena; the mono tier keeps the single default arena.
+  /// per-lane chunk arenas). The sharded driver calls ConfigureArenas(M)
+  /// from its constructor — before any core allocates chunks — to home each
+  /// lane's chunks on its own arena; the mono tier keeps the single default
+  /// arena.
   AgentStore& agent_store() { return agent_store_; }
   const AgentStore& agent_store() const { return agent_store_; }
 
@@ -233,7 +233,7 @@ class ScenarioEngine {
   Rng consumer_pick_rng_;
 
   /// Declared before the agent vectors: providers are views over the store
-  /// and return their pooled chunks to its arenas on destruction, so the
+  /// and return their chunks to its arenas on destruction, so the
   /// store must outlive them (members destroy in reverse declaration
   /// order).
   AgentStore agent_store_;

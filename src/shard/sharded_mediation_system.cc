@@ -198,9 +198,9 @@ ShardedMediationSystem::ShardedMediationSystem(
   flush_scratch_.resize(num_shards);
   outcome_scratch_.resize(num_shards);
 
-  // One agent arena per shard lane (pooled storage only): each core homes
-  // its members' chunks on its own arena, so a lane thread allocates and
-  // frees from lane-local pages. Must precede core construction — the
+  // One agent arena per shard lane: each core homes its members' chunks on
+  // its own arena, so a lane thread allocates and frees from lane-local
+  // pages. Must precede core construction — the
   // cores re-home their initial members in their constructors.
   engine_.agent_store().ConfigureArenas(num_shards);
 
@@ -353,9 +353,9 @@ ShardedRunResult ShardedMediationSystem::Run() {
   result_.net_injected_delays =
       metrics.CounterValue(obs::kMetricNetInjectedDelays);
 
-  // End-of-run agent-state residency: columns are layout-independent, the
-  // per-agent term is where eager heap containers and lazy pooled chunks
-  // diverge (the number the memory scale gate divides by the population).
+  // End-of-run agent-state residency: the store's columns plus every
+  // agent's resident chunks (the number the memory scale gate divides by
+  // the population).
   const runtime::AgentStore& store = engine_.agent_store();
   std::size_t agent_bytes = store.columns_bytes();
   for (const runtime::ProviderAgent& agent : engine_.providers()) {

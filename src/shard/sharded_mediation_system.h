@@ -247,11 +247,10 @@ struct ShardedRunResult {
   // --- Agent-state residency (runtime/agent_store.h, mem/) -----------------
   /// End-of-run agent-state footprint: the store's SoA columns plus every
   /// provider's resident window/queue chunks. Divided by the provider count
-  /// this is the bytes-per-provider figure the memory scale gate compares
-  /// between the pooled and the eager heap layout.
+  /// this is the bytes-per-provider figure the memory scale gate holds under
+  /// its absolute ceiling.
   std::size_t agent_state_bytes = 0;
-  /// Bytes of arena pages reserved by the pooled layout (0 when
-  /// SystemConfig::agent_pool is off and chunks live on the heap).
+  /// Bytes of arena pages reserved across every lane's agent arena.
   std::size_t arena_bytes_reserved = 0;
 
   /// max/mean ratio of first-choice routes per shard (1 = perfectly even).
@@ -289,6 +288,7 @@ class ShardedMediationSystem : private runtime::ScenarioEngine::Driver {
     return *cores_[shard];
   }
   const Population& population() const { return engine_.population(); }
+  const runtime::ScenarioEngine& engine() const { return engine_; }
   const msg::Network& network() const { return network_; }
 
  private:

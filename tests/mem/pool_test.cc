@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "mem/agent_arena.h"
@@ -116,6 +118,45 @@ TEST(SlabPoolTest, BudgetExhaustionSurfacesAsNull) {
   EXPECT_NE(slabs.Allocate(), nullptr);
 }
 
+TEST(SlabPoolTest, CrossThreadFreesWhileOwnerAllocates) {
+  // A provider migrated to another lane frees its old chunks into the old
+  // shard's arena while that arena's own lane keeps allocating. Two
+  // threads: this one allocates, the other frees the migrated blocks.
+  constexpr std::size_t kBlocks = 4096;
+  PagePool pages;
+  SlabPool slabs(&pages, kAgentChunkBytes);
+  std::vector<void*> migrated(kBlocks);
+  for (void*& block : migrated) {
+    block = slabs.Allocate();
+    ASSERT_NE(block, nullptr);
+  }
+  std::atomic<bool> go{false};
+  std::thread freer([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (void* block : migrated) slabs.Free(block);
+  });
+  std::vector<void*> owned(kBlocks);
+  go.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    owned[i] = slabs.Allocate();
+    if (owned[i] != nullptr) std::memcpy(owned[i], &i, sizeof(i));
+  }
+  freer.join();
+
+  // Every block handed out exactly once: distinct, and none overwritten by
+  // a later handout of the same block.
+  EXPECT_EQ(std::set<void*>(owned.begin(), owned.end()).size(), kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    ASSERT_NE(owned[i], nullptr) << i;
+    std::size_t stamp = 0;
+    std::memcpy(&stamp, owned[i], sizeof(stamp));
+    ASSERT_EQ(stamp, i);
+  }
+  EXPECT_EQ(slabs.blocks_live(), kBlocks);
+  for (void* block : owned) slabs.Free(block);
+  EXPECT_EQ(slabs.blocks_live(), 0u);
+}
+
 TEST(ChunkedFifoTest, FifoOrderAcrossChunkBoundaries) {
   ChunkedFifo<std::uint64_t> fifo;
   const std::size_t n = ChunkedFifo<std::uint64_t>::kChunkCapacity * 3 + 7;
@@ -191,7 +232,7 @@ TEST(PagedRingTest, MatchesRingBufferPushEvictionArithmetic) {
   // Reference semantics: size < capacity appends; at capacity the oldest is
   // evicted and returned. Mirror against a plain vector model.
   const std::size_t capacity = 37;
-  PagedRing<double> ring(capacity, /*lazy=*/true);
+  PagedRing<double> ring(capacity);
   std::vector<double> model;
   std::size_t model_head = 0;
   for (int i = 0; i < 500; ++i) {
@@ -214,26 +255,18 @@ TEST(PagedRingTest, MatchesRingBufferPushEvictionArithmetic) {
   }
 }
 
-TEST(PagedRingTest, LazyModeMaterializesChunksOnDemand) {
+TEST(PagedRingTest, MaterializesChunksOnDemand) {
   const std::size_t capacity = 1000;  // many chunks worth of doubles
-  PagedRing<double> lazy(capacity, /*lazy=*/true);
-  EXPECT_EQ(lazy.resident_bytes(), 0u);
-  lazy.Push(1.0);
-  EXPECT_EQ(lazy.resident_chunks(), 1u);  // one slot -> one chunk
-
-  PagedRing<double> eager(capacity, /*lazy=*/false);
-  const std::size_t full =
-      (capacity + PagedRing<double>::kChunkCapacity - 1) /
-      PagedRing<double>::kChunkCapacity;
-  EXPECT_EQ(eager.resident_chunks(), full);
+  PagedRing<double> ring(capacity);
+  EXPECT_EQ(ring.resident_bytes(), 0u);
+  ring.Push(1.0);
+  EXPECT_EQ(ring.resident_chunks(), 1u);  // one slot -> one chunk
 }
 
 TEST(PagedRingTest, PooledChunksDrainToOriginArena) {
-  AgentPoolConfig config;
-  config.enabled = true;
-  AgentArena arena(config);
+  AgentArena arena;
   {
-    PagedRing<double> ring(256, /*lazy=*/true);
+    PagedRing<double> ring(256);
     ring.set_pool(arena.slabs());
     for (int i = 0; i < 256; ++i) ring.Push(static_cast<double>(i));
     EXPECT_GT(arena.slabs()->blocks_live(), 0u);
@@ -242,14 +275,14 @@ TEST(PagedRingTest, PooledChunksDrainToOriginArena) {
   EXPECT_EQ(arena.slabs()->blocks_live(), 0u);  // destructor returned all
 }
 
-TEST(AgentArenaTest, DisabledConfigStillConstructsUsableArena) {
-  // The arena type itself is mode-agnostic; enablement is decided by the
-  // AgentStore wiring (runtime/agent_store.h), not here.
-  AgentPoolConfig config;
-  AgentArena arena(config);
+TEST(AgentArenaTest, StartsEmptyAndHandsOutAgentChunks) {
+  // Pages are reserved on the first allocation, not at construction.
+  AgentArena arena;
   EXPECT_EQ(arena.bytes_reserved(), 0u);
+  EXPECT_EQ(arena.slabs()->block_bytes(), kAgentChunkBytes);
   void* block = arena.slabs()->Allocate();
   EXPECT_NE(block, nullptr);
+  EXPECT_EQ(arena.bytes_reserved(), PagePool::kDefaultPageBytes);
   arena.slabs()->Free(block);
 }
 

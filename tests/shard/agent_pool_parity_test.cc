@@ -1,31 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/sqlb_method.h"
+#include "mem/chunked_fifo.h"
 #include "runtime/mediation_system.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_mediation_system.h"
 
 /// \file
-/// The pooled agent-state bit-identity contract (runtime/agent_store.h,
-/// mem/): a run with SystemConfig::agent_pool.enabled is bit-for-bit the
-/// run with the legacy eager heap layout — same counters, same
-/// response-time statistics, same series, same ownership digests — across
-/// every path that moves agent state between containers: single-query and
-/// batched intake, churn-driven rebalancing handoffs (resident chunks
-/// migrate across arenas and drain to their origin), mediator crashes with
-/// snapshot-restore failover, and the Section 6.3.2 departure rules. The
-/// pool may only change *where* queue and window storage lives, never a
-/// single arithmetic result, and this suite is the enforcement — the
-/// pooled twin of tests/shard/cache_parity_test.cc.
+/// Agent-state chunk accounting (runtime/agent_store.h, mem/): every
+/// engine-built provider draws its queue, utilization-log and window chunks
+/// from its lane's arena, and a chunk keeps its owner arena for life — a
+/// provider moved by a churn handoff or a failover adoption drains chunks
+/// into its old shard's arena from its new lane. Serial == parallel
+/// bit-identity of the same runs is pinned by the churn, failover and
+/// parallel-execution suites; this suite pins where the chunks live.
 
 namespace sqlb::shard {
 namespace {
 
-using runtime::ChurnSchedule;
 using runtime::FaultSchedule;
 using runtime::RunResult;
 using runtime::SystemConfig;
@@ -44,184 +39,72 @@ SystemConfig SmallConfig(double workload, std::uint64_t seed) {
   return config;
 }
 
-void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.queries_issued, b.queries_issued);
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_infeasible, b.queries_infeasible);
-  EXPECT_EQ(a.queries_reissued, b.queries_reissued);
-  EXPECT_EQ(a.provider_joins, b.provider_joins);
-  EXPECT_EQ(a.response_time.count(), b.response_time.count());
-  EXPECT_EQ(a.response_time.mean(), b.response_time.mean());
-  EXPECT_EQ(a.response_time.variance(), b.response_time.variance());
-  EXPECT_EQ(a.response_time_all.count(), b.response_time_all.count());
-  EXPECT_EQ(a.response_time_all.sum(), b.response_time_all.sum());
-  EXPECT_EQ(a.remaining_providers, b.remaining_providers);
-  EXPECT_EQ(a.remaining_consumers, b.remaining_consumers);
-  ASSERT_EQ(a.departures.size(), b.departures.size());
-  for (std::size_t i = 0; i < a.departures.size(); ++i) {
-    EXPECT_EQ(a.departures[i].time, b.departures[i].time) << i;
-    EXPECT_EQ(a.departures[i].participant_index,
-              b.departures[i].participant_index)
-        << i;
-  }
-  const std::vector<std::string> names = a.series.Names();
-  ASSERT_EQ(names, b.series.Names());
-  for (const std::string& name : names) {
-    const des::TimeSeries* sa = a.series.Find(name);
-    const des::TimeSeries* sb = b.series.Find(name);
-    ASSERT_EQ(sa->samples.size(), sb->samples.size()) << name;
-    for (std::size_t i = 0; i < sa->samples.size(); ++i) {
-      EXPECT_EQ(sa->samples[i].first, sb->samples[i].first)
-          << name << " sample " << i;
-      EXPECT_EQ(sa->samples[i].second, sb->samples[i].second)
-          << name << " sample " << i;
-    }
-  }
-}
-
-void ExpectIdenticalShardedRuns(const ShardedRunResult& a,
-                                const ShardedRunResult& b) {
-  ExpectIdenticalRuns(a.run, b.run);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].routed, b.shards[s].routed) << s;
-    EXPECT_EQ(a.shards[s].allocated, b.shards[s].allocated) << s;
-    EXPECT_EQ(a.shards[s].providers_in, b.shards[s].providers_in) << s;
-    EXPECT_EQ(a.shards[s].providers_out, b.shards[s].providers_out) << s;
-    EXPECT_EQ(a.shards[s].remaining_providers, b.shards[s].remaining_providers)
-        << s;
-  }
-  EXPECT_EQ(a.reroutes, b.reroutes);
-  EXPECT_EQ(a.ring_epoch, b.ring_epoch);
-  EXPECT_EQ(a.handoffs_started, b.handoffs_started);
-  EXPECT_EQ(a.handoffs_completed, b.handoffs_completed);
-  EXPECT_EQ(a.handoffs_cancelled, b.handoffs_cancelled);
-  EXPECT_EQ(a.ownership_digests, b.ownership_digests);
-  EXPECT_EQ(a.shard_crashes, b.shard_crashes);
-  EXPECT_EQ(a.reissued_queries, b.reissued_queries);
-  EXPECT_EQ(a.restored_providers, b.restored_providers);
-  EXPECT_EQ(a.dropped_completions, b.dropped_completions);
-  EXPECT_EQ(a.batch_flushes, b.batch_flushes);
-  EXPECT_EQ(a.batched_queries, b.batched_queries);
-}
-
 ShardedMediationSystem::MethodFactory SqlbFactory() {
   return [](std::uint32_t) { return std::make_unique<SqlbMethod>(); };
 }
 
-TEST(AgentPoolParityTest, MonoRunIsBitIdenticalWithPoolOn) {
-  SystemConfig heap = SmallConfig(0.9, 23);
-  heap.departures = runtime::DepartureConfig::AllEnabled();
-  heap.departures.grace_period = 60.0;
-  heap.departures.check_interval = 30.0;
-  SystemConfig pooled = heap;
-  pooled.agent_pool.enabled = true;
-
-  SqlbMethod m1, m2;
-  runtime::MediationSystem a(heap, &m1);
-  runtime::MediationSystem b(pooled, &m2);
-  const RunResult ra = a.Run();
-  const RunResult rb = b.Run();
-  ASSERT_GT(ra.queries_completed, 0u);
-  ExpectIdenticalRuns(ra, rb);
-}
-
-/// Churn handoffs migrate live providers — with their resident pooled
-/// chunks — between shards (and arenas). Pooled on/off must still match
-/// bit-for-bit, and so must pooled serial vs pooled parallel.
-TEST(AgentPoolParityTest, ChurnWithRebalancingIsBitIdenticalWithPoolOn) {
-  SystemConfig base = SmallConfig(1.0, 31);
-
-  ShardedSystemConfig heap;
-  heap.base = base;
-  heap.router.num_shards = 4;
-  heap.router.policy = RoutingPolicy::kLocality;
-  heap.rerouting_enabled = false;
-  heap.rebalance_enabled = true;
-  heap.rebalance_interval = 40.0;
-  // Gut shard 0: its entire initial membership leaves and later rejoins,
-  // which provably moves ownership and drives seal->drain->transfer
-  // handoffs — the path that migrates resident chunks between arenas.
-  heap.base.provider_churn = ShardChurnSchedule(
-      heap.router, /*shard=*/0, base.population.num_providers,
-      /*leave_at=*/base.duration / 3.0,
-      /*rejoin_at=*/2.0 * base.duration / 3.0);
-
-  ShardedSystemConfig pooled = heap;
-  pooled.base.agent_pool.enabled = true;
-
-  const ShardedRunResult heap_run = RunShardedScenario(heap, SqlbFactory());
-  const ShardedRunResult pooled_run = RunShardedScenario(pooled, SqlbFactory());
-  ASSERT_GT(heap_run.run.queries_completed, 0u);
-  ASSERT_GT(heap_run.handoffs_completed, 0u);  // chunks actually migrated
-  ExpectIdenticalShardedRuns(heap_run, pooled_run);
-
-  ShardedSystemConfig pooled_parallel = pooled;
-  pooled_parallel.worker_threads = 4;
-  const ShardedRunResult parallel_run =
-      RunShardedScenario(pooled_parallel, SqlbFactory());
-  ExpectIdenticalShardedRuns(pooled_run, parallel_run);
-}
-
-/// A mediator crash frees the dead shard's member slots and restores
-/// providers from snapshots on the adopting shards; the freelist recycling
-/// must leave no arithmetic trace.
-TEST(AgentPoolParityTest, FailoverIsBitIdenticalWithPoolOn) {
-  SystemConfig base = SmallConfig(1.2, 47);
-  base.shard_faults = FaultSchedule::KillAt(150.0, 1);
-
-  ShardedSystemConfig heap;
-  heap.base = base;
-  heap.router.num_shards = 4;
-  heap.router.policy = RoutingPolicy::kLocality;
-  heap.rerouting_enabled = false;
-  heap.rebalance_enabled = true;
-  heap.rebalance_interval = 40.0;
-
-  ShardedSystemConfig pooled = heap;
-  pooled.base.agent_pool.enabled = true;
-
-  const ShardedRunResult heap_run = RunShardedScenario(heap, SqlbFactory());
-  const ShardedRunResult pooled_run = RunShardedScenario(pooled, SqlbFactory());
-  EXPECT_EQ(heap_run.shard_crashes, 1u);
-  ExpectIdenticalShardedRuns(heap_run, pooled_run);
-
-  ShardedSystemConfig pooled_parallel = pooled;
-  pooled_parallel.worker_threads = 3;
-  const ShardedRunResult parallel_run =
-      RunShardedScenario(pooled_parallel, SqlbFactory());
-  ExpectIdenticalShardedRuns(pooled_run, parallel_run);
-}
-
-/// Batched intake composes with the pool (burst-mode scoring reads provider
-/// state through the same store columns).
-TEST(AgentPoolParityTest, BatchedIntakeIsBitIdenticalWithPoolOn) {
-  ShardedSystemConfig heap;
-  heap.base = SmallConfig(1.0, 59);
-  heap.router.num_shards = 4;
-  heap.router.policy = RoutingPolicy::kLocality;
-  heap.batch_window = 0.5;
-
-  ShardedSystemConfig pooled = heap;
-  pooled.base.agent_pool.enabled = true;
-
-  const ShardedRunResult heap_run = RunShardedScenario(heap, SqlbFactory());
-  const ShardedRunResult pooled_run = RunShardedScenario(pooled, SqlbFactory());
-  EXPECT_GT(heap_run.batch_flushes, 0u);
-  ExpectIdenticalShardedRuns(heap_run, pooled_run);
-}
-
-/// The pooled mode must actually pool: with the pool on, the engine's
-/// arenas hold the queue/window chunks that the heap mode kept in
-/// per-agent containers.
+/// The engine's arenas hold the queue/window chunks of a mono run.
 TEST(AgentPoolParityTest, PooledRunReservesArenaPages) {
-  SystemConfig pooled = SmallConfig(1.0, 61);
-  pooled.agent_pool.enabled = true;
   SqlbMethod method;
-  runtime::MediationSystem system(pooled, &method);
+  runtime::MediationSystem system(SmallConfig(1.0, 61), &method);
   const RunResult result = system.Run();
   ASSERT_GT(result.queries_completed, 0u);
   EXPECT_GT(system.engine().agent_store().arena_bytes_reserved(), 0u);
+}
+
+/// Chunks the agents hold, against blocks live in the arenas, at the end of
+/// a run whose handoffs and kill moved providers (and their resident chunks)
+/// between arenas. A chunk drawn from the heap, freed into the wrong arena
+/// or leaked by a migration breaks the equality.
+std::size_t ExpectArenasHoldEveryAgentChunk(
+    const ShardedMediationSystem& system) {
+  std::size_t agent_chunks = 0;
+  for (const runtime::ProviderAgent& agent : system.engine().providers()) {
+    const std::size_t chunk_bytes =
+        agent.ResidentBytes() - sizeof(runtime::ProviderAgent);
+    EXPECT_EQ(chunk_bytes % mem::kAgentChunkBytes, 0u);
+    agent_chunks += chunk_bytes / mem::kAgentChunkBytes;
+  }
+  EXPECT_GT(agent_chunks, 0u);
+  EXPECT_EQ(system.engine().agent_store().arena_blocks_live(), agent_chunks);
+  return agent_chunks;
+}
+
+TEST(AgentPoolParityTest, ArenaBlocksMatchAgentChunksAcrossChurnAndKill) {
+  ShardedSystemConfig config;
+  config.base = SmallConfig(1.0, 31);
+  config.router.num_shards = 4;
+  config.router.policy = RoutingPolicy::kLocality;
+  config.rerouting_enabled = false;
+  config.rebalance_enabled = true;
+  config.rebalance_interval = 40.0;
+  // Gut shard 0 (its members leave and later rejoin, which drives
+  // seal->drain->transfer handoffs) and kill shard 1 in between (survivors
+  // adopt its providers from the snapshot).
+  const double duration = config.base.duration;
+  config.base.provider_churn = ShardChurnSchedule(
+      config.router, /*shard=*/0, config.base.population.num_providers,
+      /*leave_at=*/duration / 3.0, /*rejoin_at=*/2.0 * duration / 3.0);
+  config.base.shard_faults = FaultSchedule::KillAt(duration / 2.0, 1);
+
+  ShardedMediationSystem serial(config, SqlbFactory());
+  const ShardedRunResult serial_run = serial.Run();
+  ASSERT_GT(serial_run.run.queries_completed, 0u);
+  ASSERT_GT(serial_run.handoffs_completed, 0u);
+  ASSERT_EQ(serial_run.shard_crashes, 1u);
+  ASSERT_GT(serial_run.restored_providers, 0u);
+  EXPECT_EQ(serial.engine().agent_store().arena_count(), 4u);
+  const std::size_t serial_chunks = ExpectArenasHoldEveryAgentChunk(serial);
+
+  // On 4 lanes a migrated provider frees into its old arena from another
+  // thread; the accounting, and the chunk count itself, must not move.
+  ShardedSystemConfig parallel_config = config;
+  parallel_config.worker_threads = 4;
+  ShardedMediationSystem parallel(parallel_config, SqlbFactory());
+  const ShardedRunResult parallel_run = parallel.Run();
+  EXPECT_EQ(parallel_run.run.queries_completed,
+            serial_run.run.queries_completed);
+  EXPECT_EQ(ExpectArenasHoldEveryAgentChunk(parallel), serial_chunks);
 }
 
 }  // namespace
